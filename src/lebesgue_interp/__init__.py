@@ -7,7 +7,6 @@ by RMSE.
 """
 
 from .baselines import (
-    Reconstruction,
     interp_linear,
     interp_nearest,
     interp_pchip,
@@ -29,6 +28,7 @@ from .bench import (
 from .core import (
     DatasetBundle,
     Knot,
+    Reconstruction,
     ReconstructionParams,
     SampledSeries,
     TimeSeries,
@@ -61,13 +61,7 @@ from .sampling import (
     tune_threshold,
 )
 from .zelic import (
-    IntervalClass,
-    IntervalKind,
-    KnotPlan,
     abrupt_limit_condition,
-    classify_interval,
-    convexity_gate,
-    convexity_knots,
     reconstruct_zechip,
     reconstruct_zechipc,
     reconstruct_zeli,
@@ -82,11 +76,8 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentMode",
     "InfeasibleBudgetError",
-    "IntervalClass",
-    "IntervalKind",
     "InvalidInputError",
     "Knot",
-    "KnotPlan",
     "METHOD_LABELS",
     "METHODS",
     "MethodReport",
@@ -103,9 +94,6 @@ __all__ = [
     "abrupt_limit_condition",
     "abruptness",
     "aggregate_report",
-    "classify_interval",
-    "convexity_gate",
-    "convexity_knots",
     "emit_report",
     "generate_synthetic_corpus",
     "interp_linear",

@@ -1,95 +1,58 @@
-"""Baseline interpolators: zero-order hold, linear, nearest, monotone cubic.
+"""The interpolation kernels and the four baseline reconstructors.
 
-All of them evaluate on the integer grid 0..source_length-1, reproduce the
-knots exactly, and hold the last knot value constant to the end of the
-domain (under send-on-delta sampling the un-fired tail provably stays in
-the last tolerated band, so holding minimizes the worst case).
+A kernel turns knots (strictly increasing integer indices from 0, plus
+their values) into a signal on the grid 0..n-1. Every kernel reproduces
+the knots exactly and holds the last knot value to the end of the domain
+(under send-on-delta sampling the un-fired tail provably stays in the last
+tolerated band, so holding minimizes the worst case). The baselines run a
+kernel over the kept points; ``zelic`` runs the chord and cubic kernels
+over its knot plans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import SampledSeries
+from .core import Reconstruction, SampledSeries
 from .errors import InvalidInputError
 
 __all__ = [
-    "Reconstruction",
     "interp_zoh",
     "interp_linear",
     "interp_nearest",
     "interp_pchip",
+    "chord_kernel",
+    "cubic_kernel",
     "fritsch_carlson_slopes",
     "hermite_fill",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class Reconstruction:
-    """A full-length reconstructed signal plus the method that produced it."""
-
-    values: np.ndarray
-    method_name: str
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
+def _segments(x: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid lo..hi-1 and, per grid point g, the j with x[j] <= g < x[j+1]
+    (the last knot for g past it)."""
+    g = np.arange(lo, hi)
+    return g, np.searchsorted(x, g, side="right") - 1
 
 
-def _hold_tail(out: np.ndarray, last_index: int, last_value: float) -> None:
-    out[last_index:] = last_value
+def chord_kernel(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """Straight lines between consecutive knots."""
+    out = np.empty(n, dtype=np.float64)
+    end = int(x[-1])
+    g, j = _segments(x, 0, end)
+    out[:end] = y[j] + np.diff(y)[j] * ((g - x[j]) / np.diff(x)[j])
+    out[x] = y
+    out[end:] = y[-1]
+    return out
 
 
-def interp_zoh(s: SampledSeries) -> Reconstruction:
-    """Hold each knot value until the next knot; jump there."""
-    out = np.empty(s.source_length, dtype=np.float64)
-    idx = s.indices
-    vals = s.values
-    for k in range(len(idx) - 1):
-        out[idx[k] : idx[k + 1]] = vals[k]
-    _hold_tail(out, int(idx[-1]), float(vals[-1]))
-    return Reconstruction(out, "zoh")
-
-
-def _fill_linear(out: np.ndarray, i0: int, v0: float, i1: int, v1: float) -> None:
-    """Straight line between two knots, endpoints included and exact."""
-    span = i1 - i0
-    t = np.arange(span + 1, dtype=np.float64) / span
-    out[i0 : i1 + 1] = v0 + (v1 - v0) * t
-    out[i0] = v0
-    out[i1] = v1
-
-
-def interp_linear(s: SampledSeries) -> Reconstruction:
-    """Straight lines between consecutive knots; constant after the last."""
-    out = np.empty(s.source_length, dtype=np.float64)
-    idx = s.indices
-    vals = s.values
-    for k in range(len(idx) - 1):
-        _fill_linear(out, int(idx[k]), float(vals[k]), int(idx[k + 1]), float(vals[k + 1]))
-    _hold_tail(out, int(idx[-1]), float(vals[-1]))
-    return Reconstruction(out, "linear")
-
-
-def interp_nearest(s: SampledSeries) -> Reconstruction:
-    """Each index copies the nearest knot's value; ties go to the earlier knot."""
-    out = np.empty(s.source_length, dtype=np.float64)
-    idx = s.indices
-    vals = s.values
-    for k in range(len(idx) - 1):
-        i0, i1 = int(idx[k]), int(idx[k + 1])
-        # x <= floor(midpoint) is nearer to (or tied with) the earlier knot
-        split = (i0 + i1) // 2
-        out[i0 : split + 1] = vals[k]
-        out[split + 1 : i1] = vals[k + 1]
-    _hold_tail(out, int(idx[-1]), float(vals[-1]))
-    return Reconstruction(out, "nearest")
+def cubic_kernel(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """Shape-preserving piecewise cubic; one knot degenerates to a hold."""
+    out = np.empty(n, dtype=np.float64)
+    if x.size > 1:
+        hermite_fill(out, x, y, fritsch_carlson_slopes(x.astype(np.float64), y))
+    out[int(x[-1]) :] = y[-1]
+    return out
 
 
 def fritsch_carlson_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -110,13 +73,12 @@ def fritsch_carlson_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if n == 2:
         return np.array([d[0], d[0]])
     m = np.zeros(n, dtype=np.float64)
-    for k in range(1, n - 1):
-        if d[k - 1] == 0.0 or d[k] == 0.0 or (d[k - 1] > 0.0) != (d[k] > 0.0):
-            m[k] = 0.0
-        else:
-            w1 = 2.0 * h[k] + h[k - 1]
-            w2 = h[k] + 2.0 * h[k - 1]
-            m[k] = (w1 + w2) / (w1 / d[k - 1] + w2 / d[k])
+    d0, d1 = d[:-1], d[1:]
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    same_sign = (d0 != 0.0) & (d1 != 0.0) & ((d0 > 0.0) == (d1 > 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m[1:-1] = np.where(same_sign, (w1 + w2) / (w1 / d0 + w2 / d1), 0.0)
 
     def edge(h0: float, h1: float, d0: float, d1: float) -> float:
         s = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
@@ -136,32 +98,39 @@ def hermite_fill(out: np.ndarray, x: np.ndarray, y: np.ndarray, m: np.ndarray) -
 
     Fills out[x[0] .. x[-1]] inclusive; knot values are written exactly.
     """
-    for k in range(len(x) - 1):
-        i0, i1 = int(x[k]), int(x[k + 1])
-        h = float(x[k + 1] - x[k])
-        t = np.arange(i1 - i0, dtype=np.float64) / h
-        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-        h10 = t * (1.0 - t) ** 2
-        h01 = t * t * (3.0 - 2.0 * t)
-        h11 = t * t * (t - 1.0)
-        out[i0:i1] = h00 * y[k] + h * h10 * m[k] + h01 * y[k + 1] + h * h11 * m[k + 1]
-        out[i0] = y[k]
-    out[int(x[-1])] = y[-1]
+    x = np.asarray(x, dtype=np.int64)
+    lo, hi = int(x[0]), int(x[-1])
+    g, j = _segments(x, lo, hi)
+    h = np.diff(x).astype(np.float64)[j]
+    t = (g - x[j]) / h
+    tm2 = (1.0 - t) ** 2
+    h00 = (1.0 + 2.0 * t) * tm2
+    h10 = t * tm2
+    h01 = t * t * (3.0 - 2.0 * t)
+    h11 = t * t * (t - 1.0)
+    out[lo:hi] = h00 * y[j] + h * h10 * m[j] + h01 * y[j + 1] + h * h11 * m[j + 1]
+    out[x] = y
+
+
+def interp_zoh(s: SampledSeries) -> Reconstruction:
+    """Hold each knot value until the next knot; jump there."""
+    return Reconstruction(s.values[_segments(s.indices, 0, s.source_length)[1]], "zoh")
+
+
+def interp_linear(s: SampledSeries) -> Reconstruction:
+    """Straight lines between consecutive knots; constant after the last."""
+    return Reconstruction(chord_kernel(s.indices, s.values, s.source_length), "linear")
+
+
+def interp_nearest(s: SampledSeries) -> Reconstruction:
+    """Each index copies the nearest knot's value; ties go to the earlier knot."""
+    x, y = s.indices, s.values
+    g, j = _segments(x, 0, s.source_length)
+    nxt = np.minimum(j + 1, x.size - 1)
+    # g <= floor(midpoint) is nearer to (or tied with) the earlier knot
+    return Reconstruction(y[np.where(g > (x[j] + x[nxt]) // 2, nxt, j)], "nearest")
 
 
 def interp_pchip(s: SampledSeries) -> Reconstruction:
-    """Shape-preserving piecewise cubic through the knots.
-
-    One knot degenerates to a constant hold, two to a straight line; the
-    tail past the last knot is held constant like every other method.
-    """
-    out = np.empty(s.source_length, dtype=np.float64)
-    idx = s.indices
-    vals = s.values
-    if len(idx) == 1:
-        out[:] = vals[0]
-        return Reconstruction(out, "pchip")
-    m = fritsch_carlson_slopes(idx.astype(np.float64), vals)
-    hermite_fill(out, idx, vals, m)
-    _hold_tail(out, int(idx[-1]), float(vals[-1]))
-    return Reconstruction(out, "pchip")
+    """Shape-preserving piecewise cubic through the knots (two knots: a line)."""
+    return Reconstruction(cubic_kernel(s.indices, s.values, s.source_length), "pchip")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -19,9 +18,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .baselines import Reconstruction, interp_linear, interp_nearest, interp_pchip, interp_zoh
+from .baselines import interp_linear, interp_nearest, interp_pchip, interp_zoh
 from .core import (
     DatasetBundle,
+    Reconstruction,
     ReconstructionParams,
     SampledSeries,
     TimeSeries,
@@ -36,6 +36,7 @@ from .metrics import (
     abruptness,
     aggregate_report,
     rank_methods,
+    rmse,
 )
 from .sampling import SampleBudget, lebesgue_sample, riemann_sample, tune_threshold
 from .zelic import reconstruct_zechip, reconstruct_zechipc, reconstruct_zeli, reconstruct_zelic
@@ -53,10 +54,7 @@ __all__ = [
     "run_benchmark",
     "emit_report",
     "monte_carlo_convexity_area",
-    "worker_count",
 ]
-
-THREADS_ENV = "LEBESGUE_INTERP_THREADS"
 
 # Reconstructor registry; baselines ignore the params argument.
 METHODS: dict[str, Callable[[SampledSeries, ReconstructionParams], Reconstruction]] = {
@@ -134,30 +132,6 @@ class ExperimentConfig:
             "methods": list(self.methods),
             "seed": self.seed,
         }
-
-
-def worker_count() -> int:
-    """Worker cap from the environment; 0 or unset means auto."""
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise InvalidInputError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-        if n < 0:
-            raise InvalidInputError(f"{THREADS_ENV} must be >= 0, got {n}")
-        if n > 0:
-            return n
-    return min(os.cpu_count() or 1, 8)
-
-
-def _ordered_map(fn, items: Sequence) -> list:
-    """Map preserving input order; result is identical for any worker count."""
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -381,24 +355,17 @@ def _score_sampled(
     methods: Sequence[str],
     prefix: str,
 ) -> list[MethodScore]:
-    from .metrics import rmse  # local import keeps module load light
-
-    def per_signal(job: tuple[int, TimeSeries, SampledSeries]) -> list[float]:
-        i, ts, s = job
-        spot_check = i % 100 == 0  # 1% of signals: knots must be reproduced exactly
-        out = []
+    table = []
+    for i, (ts, s) in enumerate(zip(signals, sampled)):
+        row = []
         for m in methods:
             rec = METHODS[m](s, params)
-            if spot_check and not np.array_equal(rec.values[s.indices], s.values):
+            if not np.array_equal(rec.values[s.indices], s.values):
                 raise AssertionError(
                     f"method {m!r} failed the interpolation condition on signal {i}"
                 )
-            out.append(rmse(ts, rec))
-        return out
-
-    table = _ordered_map(
-        per_signal, [(i, ts, s) for i, (ts, s) in enumerate(zip(signals, sampled))]
-    )
+            row.append(rmse(ts, rec))
+        table.append(row)
     scores = []
     for j, m in enumerate(methods):
         label = prefix + METHOD_LABELS[m]

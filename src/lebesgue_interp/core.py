@@ -18,6 +18,7 @@ __all__ = [
     "Knot",
     "TimeSeries",
     "SampledSeries",
+    "Reconstruction",
     "ToleratedRegion",
     "ReconstructionParams",
     "DatasetBundle",
@@ -110,6 +111,22 @@ class SampledSeries:
         return len(self) / self.source_length
 
 
+@dataclass(frozen=True, eq=False)
+class Reconstruction:
+    """A full-length reconstructed signal plus the method that produced it."""
+
+    values: np.ndarray
+    method_name: str
+
+    def __post_init__(self):
+        arr = np.asarray(self.values, dtype=np.float64).copy()
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
+
+    def __len__(self) -> int:
+        return int(self.values.size)
+
+
 @dataclass(frozen=True)
 class ToleratedRegion:
     """The band around the last retained value inside which no event fires."""
@@ -191,13 +208,16 @@ def normalize_unit_interval(series: TimeSeries) -> TimeSeries:
     """Affinely rescale one signal so min -> 0 and max -> 1.
 
     A constant signal maps to all zeros rather than erroring, so every
-    signal stays usable downstream.
+    signal stays usable downstream. When hi - lo overflows float64 every
+    term is halved first, which is exact outside the subnormal range.
     """
     v = series.values
     lo = float(v.min())
     hi = float(v.max())
     if hi == lo:
         return TimeSeries(np.zeros_like(v))
+    if math.isinf(hi - lo):
+        v, lo, hi = v / 2.0, lo / 2.0, hi / 2.0
     return TimeSeries((v - lo) / (hi - lo))
 
 

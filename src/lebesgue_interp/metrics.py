@@ -8,8 +8,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .baselines import Reconstruction
-from .core import TimeSeries
+from .core import Reconstruction, TimeSeries
 from .errors import InvalidInputError, ShapeError
 
 __all__ = [

@@ -1,78 +1,28 @@
 """Event-aware reconstructors: ZeLi, ZeLiC, ZeChip and ZeChipC.
 
-Each interval between retained points is classified Smooth or Abrupt by
-comparing the endpoint jump against threshold * tolerance_ratio. Smooth
-intervals get a chord (ZeLi) or feed a shape-preserving cubic (ZeChip);
-Abrupt intervals are held at the left value so the reconstruction stays
-inside the tolerated band the sampler guarantees. The C variants detect a
-slope-sign reversal and plant an extra knot halfway between the chord and
-the tolerated-band edge to model the turn the sampler could not see.
+Each is a knot plan fed to one kernel from ``baselines``. The plan adds to
+the kept points hold anchors that keep Abrupt gaps inside the tolerated
+band the sampler guarantees and, for the C variants, turn knots that model
+the slope reversal the sampler could not see. ZeLi and ZeLiC join the plan
+with chords, ZeChip and ZeChipC with a shape-preserving cubic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
-from .baselines import Reconstruction, _fill_linear, _hold_tail, fritsch_carlson_slopes, hermite_fill
-from .core import Knot, ReconstructionParams, SampledSeries
+from .baselines import chord_kernel, cubic_kernel
+from .core import Knot, Reconstruction, ReconstructionParams, SampledSeries
 from .errors import InvalidInputError
 
 __all__ = [
-    "IntervalKind",
-    "IntervalClass",
-    "KnotPlan",
-    "classify_interval",
     "abrupt_limit_condition",
-    "convexity_gate",
-    "convexity_knots",
+    "knot_plan",
     "reconstruct_zeli",
     "reconstruct_zelic",
     "reconstruct_zechip",
     "reconstruct_zechipc",
 ]
-
-
-class IntervalKind(Enum):
-    SMOOTH = "smooth"
-    ABRUPT = "abrupt"
-
-
-@dataclass(frozen=True)
-class IntervalClass:
-    kind: IntervalKind
-    interval: tuple[Knot, Knot]
-
-    @property
-    def is_abrupt(self) -> bool:
-        return self.kind is IntervalKind.ABRUPT
-
-
-@dataclass(frozen=True)
-class KnotPlan:
-    """Augmented knots for one interval: endpoints plus optional inserts."""
-
-    knots: tuple[Knot, ...]
-
-    def __post_init__(self):
-        idx = [k.index for k in self.knots]
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise InvalidInputError(f"plan indices must be strictly increasing, got {idx}")
-
-
-def classify_interval(a: Knot, b: Knot, params: ReconstructionParams) -> IntervalClass:
-    """Smooth iff the endpoint jump stays under threshold * tolerance_ratio.
-
-    An exactly-zero jump counts as Smooth even when the tolerance is 0
-    (a constant chord trivially stays in the band).
-    """
-    if a.index >= b.index:
-        raise InvalidInputError(f"interval endpoints must be ordered, got {a.index} >= {b.index}")
-    diff = abs(b.value - a.value)
-    smooth = diff == 0.0 or diff < params.tolerance
-    return IntervalClass(IntervalKind.SMOOTH if smooth else IntervalKind.ABRUPT, (a, b))
 
 
 def abrupt_limit_condition(a: Knot, b: Knot, threshold: float) -> bool:
@@ -92,152 +42,67 @@ def abrupt_limit_condition(a: Knot, b: Knot, threshold: float) -> bool:
     return x_last_interior > threshold / abs(slope) + a.index
 
 
-def convexity_gate(
-    prev: Knot | None, a: Knot, b: Knot, params: ReconstructionParams
-) -> bool:
-    """Decide whether to model a slope-sign reversal inside (a, b).
+def knot_plan(
+    s: SampledSeries, params: ReconstructionParams, turns: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kept points plus the planted knots, as (indices, values) by index.
 
-    Requires a strict sign flip between the incoming and outgoing jumps and
-    enough spacing on both sides that the signal looks predictable; the
-    first interval of a signal has no incoming jump, so it never gates.
+    A gap (a, b) is Abrupt iff its jump |y_b - y_a| is nonzero and not below
+    ``params.tolerance``; an exactly-zero jump is Smooth even at zero
+    tolerance. An Abrupt gap gets the hold anchor (b - 1, y_a).
+
+    With ``turns``, a gap is gated when the jumps into a and out of a have
+    strictly opposite signs, a - prev > previous_distance, and
+    subsequent_min_distance < b - a < subsequent_max_distance; the first gap
+    has no incoming jump and never gates. A gated gap gets a turn knot at
+    floor((a + b) / 2) whose value is halfway between the chord and the
+    band edge y_a - t when the signal fell into a (a dip), or y_a + t when
+    it rose (a bump). The turn knot is dropped when it would land on a, and
+    the anchor of a gated gap when it would not lie after the turn knot.
     """
-    if prev is None:
-        return False
-    if not (prev.index < a.index < b.index):
-        raise InvalidInputError(
-            f"knots must be ordered, got {prev.index}, {a.index}, {b.index}"
+    x, y = s.indices, s.values
+    xa, xb, ya = x[:-1], x[1:], y[:-1]
+    dx, dy = np.diff(x), np.diff(y)
+    jump = np.abs(dy)
+    abrupt = (jump != 0.0) & ~(jump < params.tolerance)
+    xm = (xa + xb) // 2
+    gated = np.zeros(dx.size, dtype=bool)
+    if turns:
+        sign = np.sign(dy)
+        gated[1:] = (
+            (sign[:-1] * sign[1:] < 0.0)
+            & (dx[:-1] > params.previous_distance)
+            & (dx[1:] > params.subsequent_min_distance)
         )
-    d_in = a.value - prev.value
-    d_out = b.value - a.value
-    if d_in == 0.0 or d_out == 0.0 or (d_in > 0.0) == (d_out > 0.0):
-        return False
-    if a.index - prev.index <= params.previous_distance:
-        return False
-    if b.index - a.index <= params.subsequent_min_distance:
-        return False
-    if (
-        params.subsequent_max_distance is not None
-        and b.index - a.index >= params.subsequent_max_distance
-    ):
-        return False
-    return True
-
-
-def convexity_knots(
-    prev: Knot, a: Knot, b: Knot, params: ReconstructionParams, abrupt: bool
-) -> KnotPlan:
-    """Build the augmented knots for a gated interval.
-
-    The midpoint knot sits at floor((a+b)/2) with a value halfway between
-    the chord and the tolerated-band edge on the side of the turn: the
-    lower edge when the signal was falling into a (a dip), the upper edge
-    when it was rising (a bump). An Abrupt interval additionally gets the
-    hold anchor (b.index - 1, a.value) so the jump at b stays sharp; the
-    anchor is dropped if it would collide with the midpoint, and the
-    midpoint is dropped in the degenerate case where it would collide
-    with a.
-    """
-    t = params.threshold
-    x_mid = (a.index + b.index) // 2
-    knots: list[Knot] = [a]
-    if x_mid > a.index:
-        chord_mid = a.value + (b.value - a.value) * (x_mid - a.index) / (b.index - a.index)
-        falling_in = a.value < prev.value
-        if falling_in:
-            y_mid = (chord_mid + a.value - t) / 2.0
-        else:
-            y_mid = (chord_mid + a.value + t) / 2.0
-        knots.append(Knot(x_mid, y_mid))
-    if abrupt and b.index - 1 > x_mid:
-        knots.append(Knot(b.index - 1, a.value))
-    knots.append(b)
-    return KnotPlan(tuple(knots))
-
-
-def _zeli_segment(out: np.ndarray, a: Knot, b: Knot, params: ReconstructionParams) -> None:
-    if classify_interval(a, b, params).is_abrupt:
-        out[a.index : b.index] = a.value
-        out[b.index] = b.value
-    else:
-        _fill_linear(out, a.index, a.value, b.index, b.value)
+        if params.subsequent_max_distance is not None:
+            gated &= dx < params.subsequent_max_distance
+    anchor = abrupt & (xb - 1 > np.where(gated, xm, xa))
+    turn = np.flatnonzero(gated & (xm > xa))
+    if turn.size == 0 and not anchor.any():
+        return x, y
+    chord = ya[turn] + dy[turn] * (xm[turn] - xa[turn]) / dx[turn]
+    edge = np.where(ya[turn] < y[turn - 1], -params.threshold, params.threshold)
+    px = np.concatenate([x, xm[turn], xb[anchor] - 1])
+    py = np.concatenate([y, (chord + ya[turn] + edge) / 2.0, ya[anchor]])
+    order = np.argsort(px, kind="stable")
+    return px[order], py[order]
 
 
 def reconstruct_zeli(s: SampledSeries, params: ReconstructionParams) -> Reconstruction:
     """Chord on Smooth intervals, hold-then-jump on Abrupt ones."""
-    out = np.empty(s.source_length, dtype=np.float64)
-    pts = s.points
-    for a, b in zip(pts, pts[1:]):
-        _zeli_segment(out, a, b, params)
-    _hold_tail(out, pts[-1].index, pts[-1].value)
-    return Reconstruction(out, "zeli")
+    return Reconstruction(chord_kernel(*knot_plan(s, params, False), s.source_length), "zeli")
 
 
 def reconstruct_zelic(s: SampledSeries, params: ReconstructionParams) -> Reconstruction:
     """ZeLi plus the slope-reversal knots, joined with straight segments."""
-    out = np.empty(s.source_length, dtype=np.float64)
-    pts = s.points
-    for i, (a, b) in enumerate(zip(pts, pts[1:])):
-        prev = pts[i - 1] if i > 0 else None
-        if convexity_gate(prev, a, b, params):
-            abrupt = classify_interval(a, b, params).is_abrupt
-            plan = convexity_knots(prev, a, b, params, abrupt)
-            for u, v in zip(plan.knots, plan.knots[1:]):
-                _fill_linear(out, u.index, u.value, v.index, v.value)
-        else:
-            _zeli_segment(out, a, b, params)
-    _hold_tail(out, pts[-1].index, pts[-1].value)
-    return Reconstruction(out, "zelic")
-
-
-def _augmented_knots(
-    s: SampledSeries, params: ReconstructionParams, with_convexity: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Global knot list: samples, hold anchors on Abrupt intervals and,
-    optionally, the slope-reversal inserts. Indices come out strictly
-    increasing because every insert lies strictly inside its interval."""
-    pts = s.points
-    xs: list[int] = []
-    ys: list[float] = []
-    for i, (a, b) in enumerate(zip(pts, pts[1:])):
-        xs.append(a.index)
-        ys.append(a.value)
-        abrupt = classify_interval(a, b, params).is_abrupt
-        prev = pts[i - 1] if i > 0 else None
-        if with_convexity and convexity_gate(prev, a, b, params):
-            plan = convexity_knots(prev, a, b, params, abrupt)
-            for k in plan.knots[1:-1]:
-                xs.append(k.index)
-                ys.append(k.value)
-        elif abrupt and b.index - 1 > a.index:
-            xs.append(b.index - 1)
-            ys.append(a.value)
-    xs.append(pts[-1].index)
-    ys.append(pts[-1].value)
-    return np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.float64)
-
-
-def _pchip_over(
-    s: SampledSeries, xs: np.ndarray, ys: np.ndarray, name: str
-) -> Reconstruction:
-    out = np.empty(s.source_length, dtype=np.float64)
-    if len(xs) == 1:
-        out[:] = ys[0]
-        return Reconstruction(out, name)
-    m = fritsch_carlson_slopes(xs.astype(np.float64), ys)
-    hermite_fill(out, xs, ys, m)
-    # original samples are knots of the augmented set; rewrite them exactly
-    out[s.indices] = s.values
-    _hold_tail(out, int(xs[-1]), float(ys[-1]))
-    return Reconstruction(out, name)
+    return Reconstruction(chord_kernel(*knot_plan(s, params, True), s.source_length), "zelic")
 
 
 def reconstruct_zechip(s: SampledSeries, params: ReconstructionParams) -> Reconstruction:
     """Shape-preserving cubic over samples plus Abrupt-interval anchors."""
-    xs, ys = _augmented_knots(s, params, with_convexity=False)
-    return _pchip_over(s, xs, ys, "zechip")
+    return Reconstruction(cubic_kernel(*knot_plan(s, params, False), s.source_length), "zechip")
 
 
 def reconstruct_zechipc(s: SampledSeries, params: ReconstructionParams) -> Reconstruction:
     """ZeChip with the slope-reversal knots added before the single cubic pass."""
-    xs, ys = _augmented_knots(s, params, with_convexity=True)
-    return _pchip_over(s, xs, ys, "zechipc")
+    return Reconstruction(cubic_kernel(*knot_plan(s, params, True), s.source_length), "zechipc")

@@ -9,8 +9,10 @@ from lebesgue_interp import (
     ExperimentMode,
     InfeasibleBudgetError,
     InvalidInputError,
+    METHODS,
     MethodReport,
     ParseError,
+    Reconstruction,
     ShapeError,
     TimeSeries,
     abruptness,
@@ -25,7 +27,6 @@ from lebesgue_interp import (
     run_benchmark,
     run_experiment,
 )
-from lebesgue_interp.bench import worker_count
 from oracles import rmse_plain, trace_send_on_delta
 
 
@@ -157,6 +158,24 @@ class TestRunExperiment:
         assert by_name["Zero"] == pytest.approx(want_zoh, abs=1e-12)
         assert by_name["Linear"] == pytest.approx(want_lin, abs=1e-12)
 
+    def test_knots_checked_on_every_signal(self, monkeypatch):
+        linear = METHODS["linear"]
+        calls = []
+
+        def off_knot_on_second_signal(s, params):
+            rec = linear(s, params)
+            calls.append(s)
+            if len(calls) != 2:
+                return rec
+            values = rec.values.copy()
+            values[s.indices[-1]] += 1.0
+            return Reconstruction(values, rec.method_name)
+
+        monkeypatch.setitem(METHODS, "linear", off_knot_on_second_signal)
+        bundle = generate_synthetic_corpus(10, {"sine": 3}, length=120, name="s")
+        with pytest.raises(AssertionError, match="'linear'.*signal 1"):
+            run_experiment(bundle, ExperimentConfig(methods=("linear",)))
+
     def test_budget_mode_prefixes_and_compliance(self):
         bundle = generate_synthetic_corpus(9, {"walk": 6}, length=250, name="w")
         config = ExperimentConfig(mode=ExperimentMode.BUDGET, target_fraction=0.2)
@@ -183,39 +202,6 @@ class TestRunExperiment:
         r2 = run_experiment(bundle, ExperimentConfig())
         for a, b in zip(r1.summary, r2.summary):
             assert a == b
-
-
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("LEBESGUE_INTERP_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.setenv("LEBESGUE_INTERP_THREADS", "0")
-        assert worker_count() >= 1
-
-    def test_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv("LEBESGUE_INTERP_THREADS", "many")
-        with pytest.raises(InvalidInputError):
-            worker_count()
-
-    def test_parallel_result_identical(self, monkeypatch):
-        bundle = generate_synthetic_corpus(11, {"triangle": 6}, length=200, name="t")
-        monkeypatch.setenv("LEBESGUE_INTERP_THREADS", "1")
-        r1 = run_experiment(bundle, ExperimentConfig())
-        monkeypatch.setenv("LEBESGUE_INTERP_THREADS", "6")
-        r2 = run_experiment(bundle, ExperimentConfig())
-        assert r1.summary == r2.summary
-
-    def test_parallel_budget_mode_identical(self, monkeypatch):
-        bundle = generate_synthetic_corpus(15, {"walk": 6}, length=200, name="w")
-        config = ExperimentConfig(mode=ExperimentMode.BUDGET, target_fraction=0.25)
-        monkeypatch.setenv("LEBESGUE_INTERP_THREADS", "1")
-        r1 = run_experiment(bundle, config)
-        monkeypatch.setenv("LEBESGUE_INTERP_THREADS", "5")
-        r2 = run_experiment(bundle, config)
-        assert r1.summary == r2.summary
-        assert r1.datasets[0].threshold == r2.datasets[0].threshold
 
 
 class TestEmitReport:

@@ -55,6 +55,10 @@ class TestNormalize:
         out = normalize_unit_interval(TimeSeries([0.0, 1.0]))
         np.testing.assert_array_equal(out.values, [0.0, 1.0])
 
+    def test_range_wider_than_float_max(self):
+        out = normalize_unit_interval(TimeSeries([-1e308, 0.0, 1e308, 5e307]))
+        np.testing.assert_array_equal(out.values, [0.0, 0.5, 1.0, 0.75])
+
     @given(finite_values)
     def test_range_and_idempotence(self, values):
         once = normalize_unit_interval(TimeSeries(values))

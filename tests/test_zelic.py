@@ -2,18 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lebesgue_interp import (
-    IntervalKind,
-    InvalidInputError,
     Knot,
     ReconstructionParams,
     TimeSeries,
     abrupt_limit_condition,
-    classify_interval,
-    convexity_gate,
-    convexity_knots,
     generate_synthetic_corpus,
     interp_linear,
     interp_pchip,
@@ -24,29 +19,37 @@ from lebesgue_interp import (
     reconstruct_zelic,
     rmse,
 )
+from lebesgue_interp.zelic import knot_plan
 from conftest import make_sampled
-from oracles import chord_exits_band
+from oracles import augmented_knots_scalar, chord_exits_band, chord_loop, pchip_loop
 
 DEFAULT = ReconstructionParams(threshold=0.05, tolerance_ratio=1.15)
+SMOOTH = ReconstructionParams(threshold=0.05, tolerance_ratio=3.0)  # 0.1 jumps stay smooth
+
+
+def plan(indices, values, params=DEFAULT, turns=True):
+    s = make_sampled(indices, values, int(indices[-1]) + 1)
+    x, y = knot_plan(s, params, turns)
+    return list(zip(x.tolist(), y.tolist()))
+
+
+def turn_knot_at(indices, values, x_mid, params=DEFAULT):
+    """Whether the turn-aware plan has a knot at x_mid that the plain one lacks."""
+    with_turns = dict(plan(indices, values, params, turns=True))
+    without = dict(plan(indices, values, params, turns=False))
+    return x_mid in with_turns and x_mid not in without
 
 
 class TestClassifyInterval:
     def test_smooth_below_tolerance(self):
-        c = classify_interval(Knot(0, 0.0), Knot(4, 0.056), DEFAULT)
-        assert c.kind is IntervalKind.SMOOTH
+        assert plan([0, 4], [0.0, 0.056]) == [(0, 0.0), (4, 0.056)]
 
     def test_abrupt_at_or_above_tolerance(self):
-        c = classify_interval(Knot(0, 0.0), Knot(4, 0.14), DEFAULT)
-        assert c.kind is IntervalKind.ABRUPT
+        assert plan([0, 4], [0.0, 0.14]) == [(0, 0.0), (3, 0.0), (4, 0.14)]
 
     def test_equal_values_smooth_even_at_zero_tolerance(self):
         params = ReconstructionParams(threshold=0.0, tolerance_ratio=1.0)
-        c = classify_interval(Knot(0, 0.5), Knot(4, 0.5), params)
-        assert c.kind is IntervalKind.SMOOTH
-
-    def test_unordered_interval_rejected(self):
-        with pytest.raises(InvalidInputError):
-            classify_interval(Knot(4, 0.0), Knot(0, 0.1), DEFAULT)
+        assert plan([0, 4], [0.5, 0.5], params) == [(0, 0.5), (4, 0.5)]
 
 
 class TestAbruptLimitCondition:
@@ -76,47 +79,46 @@ class TestAbruptLimitCondition:
 
 class TestConvexityGate:
     def test_fires_on_reversal_with_spacing(self):
-        assert convexity_gate(Knot(0, 0.6), Knot(5, 0.5), Knot(15, 0.6), DEFAULT) is True
+        assert turn_knot_at([0, 5, 15], [0.6, 0.5, 0.6], 10)
 
     def test_monotone_triple_never_fires(self):
-        assert convexity_gate(Knot(0, 0.1), Knot(5, 0.2), Knot(15, 0.3), DEFAULT) is False
+        assert not turn_knot_at([0, 5, 15], [0.1, 0.2, 0.3], 10)
 
     def test_gaps_at_or_below_min_distance_block(self):
-        assert convexity_gate(Knot(0, 0.6), Knot(3, 0.5), Knot(15, 0.6), DEFAULT) is False
-        assert convexity_gate(Knot(0, 0.6), Knot(5, 0.5), Knot(8, 0.6), DEFAULT) is False
+        assert not turn_knot_at([0, 3, 15], [0.6, 0.5, 0.6], 9)
+        assert not turn_knot_at([0, 5, 8], [0.6, 0.5, 0.6], 6)
 
     def test_no_previous_knot_blocks(self):
-        assert convexity_gate(None, Knot(5, 0.5), Knot(15, 0.6), DEFAULT) is False
+        assert not turn_knot_at([0, 10], [0.5, 0.6], 5)
 
     def test_zero_difference_blocks(self):
-        assert convexity_gate(Knot(0, 0.5), Knot(5, 0.5), Knot(15, 0.6), DEFAULT) is False
+        assert not turn_knot_at([0, 5, 15], [0.5, 0.5, 0.6], 10)
 
     def test_max_distance_bound(self):
         bounded = ReconstructionParams(threshold=0.05, subsequent_max_distance=10)
-        assert convexity_gate(Knot(0, 0.6), Knot(5, 0.5), Knot(15, 0.6), bounded) is False
-        assert convexity_gate(Knot(0, 0.6), Knot(5, 0.5), Knot(14, 0.6), bounded) is True
+        assert not turn_knot_at([0, 5, 15], [0.6, 0.5, 0.6], 10, bounded)
+        assert turn_knot_at([0, 5, 14], [0.6, 0.5, 0.6], 9, bounded)
 
 
 class TestConvexityKnots:
     def test_convex_midpoint(self):
-        plan = convexity_knots(Knot(-5, 0.7), Knot(0, 0.5), Knot(10, 0.6), DEFAULT, abrupt=False)
-        assert plan.knots == (Knot(0, 0.5), Knot(5, 0.5), Knot(10, 0.6))
+        assert plan([0, 5, 15], [0.6, 0.5, 0.6], SMOOTH) == [(0, 0.6), (5, 0.5), (10, 0.5), (15, 0.6)]
 
     def test_concave_midpoint(self):
-        plan = convexity_knots(Knot(-5, 0.3), Knot(0, 0.5), Knot(10, 0.4), DEFAULT, abrupt=False)
-        assert plan.knots == (Knot(0, 0.5), Knot(5, 0.5), Knot(10, 0.4))
+        assert plan([0, 5, 15], [0.4, 0.5, 0.4], SMOOTH) == [(0, 0.4), (5, 0.5), (10, 0.5), (15, 0.4)]
 
     def test_abrupt_adds_anchor(self):
-        plan = convexity_knots(Knot(-5, 0.7), Knot(0, 0.5), Knot(10, 0.6), DEFAULT, abrupt=True)
-        assert plan.knots == (Knot(0, 0.5), Knot(5, 0.5), Knot(9, 0.5), Knot(10, 0.6))
+        got = plan([0, 5, 15], [0.55, 0.5, 0.6])
+        assert got == [(0, 0.55), (5, 0.5), (10, 0.5), (14, 0.5), (15, 0.6)]
 
     def test_anchor_dropped_when_colliding_with_midpoint(self):
-        plan = convexity_knots(Knot(-5, 0.7), Knot(0, 0.5), Knot(2, 0.6), DEFAULT, abrupt=True)
-        assert plan.knots == (Knot(0, 0.5), Knot(1, pytest.approx((0.55 + 0.45) / 2)), Knot(2, 0.6))
+        params = ReconstructionParams(threshold=0.05, subsequent_min_distance=0)
+        got = plan([0, 5, 7], [0.55, 0.5, 0.6], params)
+        assert got == [(0, 0.55), (5, 0.5), (6, pytest.approx((0.55 + 0.45) / 2)), (7, 0.6)]
 
     def test_midpoint_dropped_on_adjacent_knots(self):
-        plan = convexity_knots(Knot(-5, 0.7), Knot(0, 0.5), Knot(1, 0.6), DEFAULT, abrupt=True)
-        assert plan.knots == (Knot(0, 0.5), Knot(1, 0.6))
+        params = ReconstructionParams(threshold=0.05, subsequent_min_distance=0)
+        assert plan([0, 5, 6], [0.55, 0.5, 0.6], params) == [(0, 0.55), (5, 0.5), (6, 0.6)]
 
     @given(
         ya=st.floats(0.1, 0.9, allow_nan=False),
@@ -127,12 +129,47 @@ class TestConvexityKnots:
     @settings(max_examples=200, deadline=None)
     def test_midpoint_between_chord_and_band_edge(self, ya, rise, width, t):
         params = ReconstructionParams(threshold=t)
-        prev = Knot(-5, ya + 0.05)  # falling in: convex turn
-        a, b = Knot(0, ya), Knot(width, ya + rise)
-        plan = convexity_knots(prev, a, b, params, abrupt=False)
-        mid = plan.knots[1]
-        chord = ya + rise * mid.index / width
-        assert ya - t - 1e-12 <= mid.value <= chord + 1e-12
+        # falling into the knot at 5: a convex turn
+        knots = dict(plan([0, 5, 5 + width], [ya + 0.05, ya, ya + rise], params))
+        x_mid = 5 + width // 2
+        chord = ya + rise * (x_mid - 5) / width
+        assert ya - t - 1e-12 <= knots[x_mid] <= chord + 1e-12
+
+
+class TestKnotPlan:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        length=st.integers(1, 300),
+        threshold=st.sampled_from([0.0, 0.02, 0.05, 0.2]),
+        ratio=st.sampled_from([1.0, 1.15, 3.0, math.inf]),
+        previous=st.integers(0, 5),
+        subsequent_min=st.integers(0, 5),
+        subsequent_max=st.one_of(st.none(), st.integers(1, 40)),
+        turns=st.booleans(),
+    )
+    @example(seed=1, length=1, threshold=0.0, ratio=1.0, previous=0, subsequent_min=0,
+             subsequent_max=None, turns=True)
+    @example(seed=2, length=300, threshold=0.0, ratio=math.inf, previous=0, subsequent_min=0,
+             subsequent_max=None, turns=True)
+    @example(seed=3, length=300, threshold=0.02, ratio=1.0, previous=1, subsequent_min=1,
+             subsequent_max=8, turns=True)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_oracle(
+        self, seed, length, threshold, ratio, previous, subsequent_min, subsequent_max, turns
+    ):
+        rng = np.random.default_rng(seed)
+        walk = np.cumsum(rng.normal(0.0, rng.uniform(0.005, 0.1), size=length))
+        s = lebesgue_sample(TimeSeries(walk), threshold)
+        params = ReconstructionParams(threshold, ratio, previous, subsequent_min, subsequent_max)
+        x, y = knot_plan(s, params, turns)
+        want = augmented_knots_scalar(s.points, params, turns)
+        assert list(zip(x.tolist(), y.tolist())) == want
+        chord, cubic = (
+            (reconstruct_zelic, reconstruct_zechipc) if turns else (reconstruct_zeli, reconstruct_zechip)
+        )
+        n = s.source_length
+        np.testing.assert_array_equal(chord(s, params).values, chord_loop(want, n))
+        np.testing.assert_array_equal(cubic(s, params).values, pchip_loop(want, n))
 
 
 class TestReconstructZeli:
