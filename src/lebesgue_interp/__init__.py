@@ -13,7 +13,6 @@ from .baselines import (
     interp_zoh,
 )
 from .bench import (
-    METHOD_LABELS,
     METHODS,
     ExperimentConfig,
     ExperimentMode,
@@ -21,7 +20,6 @@ from .bench import (
     generate_synthetic_corpus,
     load_ucr_dataset,
     merge_bundles,
-    monte_carlo_convexity_area,
     run_benchmark,
     run_experiment,
 )
@@ -34,7 +32,6 @@ from .core import (
     TimeSeries,
     ToleratedRegion,
     normalize_unit_interval,
-    series_equal_length_check,
 )
 from .errors import (
     InfeasibleBudgetError,
@@ -46,7 +43,6 @@ from .metrics import (
     DatasetResult,
     MethodReport,
     MethodScore,
-    MethodSummary,
     abruptness,
     aggregate_report,
     rank_methods,
@@ -78,11 +74,9 @@ __all__ = [
     "InfeasibleBudgetError",
     "InvalidInputError",
     "Knot",
-    "METHOD_LABELS",
     "METHODS",
     "MethodReport",
     "MethodScore",
-    "MethodSummary",
     "ParseError",
     "Reconstruction",
     "ReconstructionParams",
@@ -103,7 +97,6 @@ __all__ = [
     "lebesgue_sample",
     "load_ucr_dataset",
     "merge_bundles",
-    "monte_carlo_convexity_area",
     "normalize_unit_interval",
     "rank_methods",
     "reconstruct_zechip",
@@ -114,7 +107,6 @@ __all__ = [
     "rmse",
     "run_benchmark",
     "run_experiment",
-    "series_equal_length_check",
     "threshold_candidates",
     "tolerated_region",
     "tune_threshold",

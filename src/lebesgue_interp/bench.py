@@ -26,7 +26,6 @@ from .core import (
     SampledSeries,
     TimeSeries,
     normalize_unit_interval,
-    series_equal_length_check,
 )
 from .errors import InvalidInputError, ParseError, ShapeError
 from .metrics import (
@@ -53,7 +52,6 @@ __all__ = [
     "run_experiment",
     "run_benchmark",
     "emit_report",
-    "monte_carlo_convexity_area",
 ]
 
 # Reconstructor registry; baselines ignore the params argument.
@@ -209,12 +207,11 @@ def load_ucr_dataset(
                 stem = stem[: -len(suffix)]
                 break
         name = stem
-    bundle = DatasetBundle(
+    return DatasetBundle(
         name=name,
         signals=tuple(TimeSeries(r) for r in rows),
         provenance=f"{train_path}" + (f" + {test_path}" if test_path else "") + f" ({fmt})",
     )
-    return series_equal_length_check(bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +328,14 @@ def generate_synthetic_corpus(
 
 
 def merge_bundles(name: str, bundles: Sequence[DatasetBundle]) -> DatasetBundle:
-    """Concatenate equal-length bundles into one."""
+    """Concatenate bundles into one, signals in bundle order."""
     if not bundles:
         raise InvalidInputError("no bundles to merge")
-    signals = tuple(s for b in bundles for s in b.signals)
-    merged = DatasetBundle(
+    return DatasetBundle(
         name=name,
-        signals=signals,
+        signals=tuple(s for b in bundles for s in b.signals),
         provenance="; ".join(b.provenance for b in bundles),
     )
-    return series_equal_length_check(merged)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +376,10 @@ def run_experiment(bundle: DatasetBundle, config: ExperimentConfig) -> MethodRep
     under both regimes with "L "/"R " name prefixes; the event-aware
     methods reuse the tuned threshold as their band parameter in both.
     """
-    series_equal_length_check(bundle)
     normalized = [normalize_unit_interval(ts) for ts in bundle.signals]
     mean_abruptness = (
         float(np.mean([abruptness(ts) for ts in bundle.signals]))
-        if len(bundle.signals[0]) >= 2
+        if all(len(ts) >= 2 for ts in bundle.signals)
         else None
     )
 
@@ -567,35 +561,3 @@ def emit_report(
             fh.write("\n")
         written.append(path)
     return written
-
-
-# ---------------------------------------------------------------------------
-# geometry check
-# ---------------------------------------------------------------------------
-
-
-def monte_carlo_convexity_area(samples: int, seed: int, threshold: float = 1.0) -> float:
-    """Fraction of the tolerated box lying between the chord and its top edge.
-
-    Canonical turn-shaped configuration: the right endpoint sits exactly one
-    threshold above the left, so the chord cuts the box [x_i, x_{i+1}] x
-    [y_i - t, y_i + t] into a triangle of a quarter of its area; the result
-    is independent of the endpoints chosen. Points are counted strictly
-    between the chord and the upper bound. A zero threshold collapses the
-    box, so the fraction is 0 by convention.
-    """
-    if samples < 10_000:
-        raise InvalidInputError(f"samples must be >= 10000, got {samples}")
-    if threshold < 0.0:
-        raise InvalidInputError(f"threshold must be >= 0, got {threshold}")
-    if threshold == 0.0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    x0, x1 = 0.0, 1.0
-    y0 = 0.0
-    t = threshold
-    x = rng.uniform(x0, x1, size=samples)
-    y = rng.uniform(y0 - t, y0 + t, size=samples)
-    chord = y0 + t * (x - x0) / (x1 - x0)  # rises from y0 to y0 + t
-    hits = np.count_nonzero((y > chord) & (y < y0 + t))
-    return hits / samples

@@ -23,7 +23,6 @@ __all__ = [
     "ReconstructionParams",
     "DatasetBundle",
     "normalize_unit_interval",
-    "series_equal_length_check",
 ]
 
 
@@ -219,15 +218,3 @@ def normalize_unit_interval(series: TimeSeries) -> TimeSeries:
     if math.isinf(hi - lo):
         v, lo, hi = v / 2.0, lo / 2.0, hi / 2.0
     return TimeSeries((v - lo) / (hi - lo))
-
-
-def series_equal_length_check(bundle: DatasetBundle) -> DatasetBundle:
-    """Return the bundle unchanged if every signal shares one length."""
-    lengths = [len(s) for s in bundle.signals]
-    first = lengths[0]
-    for row, n in enumerate(lengths):
-        if n != first:
-            raise ShapeError(
-                f"dataset {bundle.name!r}: signal {row} has length {n}, expected {first}"
-            )
-    return bundle

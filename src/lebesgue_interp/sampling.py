@@ -130,8 +130,12 @@ def tune_threshold(bundle: DatasetBundle, budget: SampleBudget) -> tuple[float, 
     so bisection alone can land past a locally feasible candidate. The
     result is feasible and its immediate predecessor on the grid is not.
 
+    When even the largest candidate keeps too many points, the next float
+    above it is tried: it exceeds every difference, so nothing fires after
+    each signal's first point, which is the least any threshold keeps.
+
     Returns (threshold, achieved_fraction). Raises InfeasibleBudgetError if
-    even the largest candidate keeps too many points.
+    even that threshold keeps too many points.
     """
     target = budget.target_fraction
     cands = threshold_candidates(bundle)
@@ -144,10 +148,14 @@ def tune_threshold(bundle: DatasetBundle, budget: SampleBudget) -> tuple[float, 
 
     last = len(cands) - 1
     if frac(last) > target:
-        raise InfeasibleBudgetError(
-            f"budget {target} infeasible: minimum achievable fraction is {frac(last):.6g}",
-            min_achievable_fraction=frac(last),
-        )
+        above = float(np.nextafter(cands[last], np.inf))
+        least = _bundle_fraction(bundle, above)
+        if least > target:
+            raise InfeasibleBudgetError(
+                f"budget {target} infeasible: minimum achievable fraction is {least:.6g}",
+                min_achievable_fraction=least,
+            )
+        return above, least
     lo, hi = 0, last
     while lo < hi:
         mid = (lo + hi) // 2

@@ -1,24 +1,40 @@
-"""Self-contained property checks runnable from the CLI.
+"""The paper's property checks and the independent oracles they rest on.
 
 Each check re-derives its expectation through an independent route (naive
 trace, interior-point scan, Monte Carlo, closed-form fixtures) so a pass
-means the fast implementations agree with first principles.
+means the fast implementations agree with first principles. Every check
+takes a seed and a size: ``lebesgue-interp verify`` runs them at the sizes
+in ``run_all_checks`` and the acceptance tests at their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .baselines import interp_pchip
-from .bench import monte_carlo_convexity_area
-from .core import Knot, SampledSeries, TimeSeries
+from .bench import generate_synthetic_corpus
+from .core import Knot, SampledSeries
+from .errors import InvalidInputError
 from .sampling import lebesgue_sample
 from .zelic import abrupt_limit_condition
 
-__all__ = ["CheckResult", "run_all_checks"]
+__all__ = [
+    "CheckResult",
+    "chord_exits_band",
+    "check_band",
+    "check_convexity_area",
+    "check_limit_condition",
+    "check_pchip_shape",
+    "check_sampler_trace",
+    "monte_carlo_convexity_area",
+    "run_all_checks",
+    "trace_send_on_delta",
+]
+
+THRESHOLDS = (0.02, 0.05, 0.1)
+WALK_LENGTH = 500
 
 
 @dataclass(frozen=True)
@@ -28,127 +44,147 @@ class CheckResult:
     detail: str
 
 
-def _naive_delta_trace(values: list[float], threshold: float) -> list[tuple[int, float]]:
-    """Deliberately simple re-derivation of the send-on-delta rule."""
-    taken = [(0, values[0])]
+def trace_send_on_delta(values, threshold):
+    """Naive re-scan of the send-on-delta rule: restart the search after
+    every capture instead of streaming."""
+    values = list(values)
+    captured = [(0, values[0])]
+    pos = 0
     while True:
-        last_i, last_v = taken[-1]
+        ref = captured[-1][1]
         nxt = None
-        for j in range(last_i + 1, len(values)):
-            if abs(values[j] - last_v) >= threshold:
-                nxt = (j, values[j])
+        for j in range(pos + 1, len(values)):
+            if abs(values[j] - ref) >= threshold:
+                nxt = j
                 break
         if nxt is None:
-            return taken
-        taken.append(nxt)
+            return captured
+        captured.append((nxt, values[nxt]))
+        pos = nxt
 
 
-def _walks(seed: int, count: int, length: int) -> list[TimeSeries]:
+def chord_exits_band(xa, ya, xb, yb, threshold):
+    """Scan every interior grid point of the chord for a strict band exit."""
+    slope = (yb - ya) / (xb - xa)
+    for x in range(xa + 1, xb):
+        if abs(ya + slope * (x - xa) - ya) > threshold:
+            return True
+    return False
+
+
+def monte_carlo_convexity_area(samples: int, seed: int, threshold: float = 1.0) -> float:
+    """Fraction of the tolerated box lying between the chord and its top edge.
+
+    Canonical turn-shaped configuration: the right endpoint sits exactly one
+    threshold above the left, so the chord cuts the box [x_i, x_{i+1}] x
+    [y_i - t, y_i + t] into a triangle of a quarter of its area; the result
+    is independent of the endpoints chosen. Points are counted strictly
+    between the chord and the upper bound. A zero threshold collapses the
+    box, so the fraction is 0 by convention.
+    """
+    if samples < 10_000:
+        raise InvalidInputError(f"samples must be >= 10000, got {samples}")
+    if threshold < 0.0:
+        raise InvalidInputError(f"threshold must be >= 0, got {threshold}")
+    if threshold == 0.0:
+        return 0.0
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        w = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, 0.02, size=length - 1))])
-        lo, hi = w.min(), w.max()
-        out.append(TimeSeries((w - lo) / (hi - lo) if hi > lo else np.zeros_like(w)))
-    return out
+    x0, x1 = 0.0, 1.0
+    y0 = 0.0
+    t = threshold
+    x = rng.uniform(x0, x1, size=samples)
+    y = rng.uniform(y0 - t, y0 + t, size=samples)
+    chord = y0 + t * (x - x0) / (x1 - x0)  # rises from y0 to y0 + t
+    hits = np.count_nonzero((y > chord) & (y < y0 + t))
+    return hits / samples
 
 
-def check_sampler_against_trace(seed: int = 11, count: int = 200, length: int = 500) -> CheckResult:
-    thresholds = (0.02, 0.05, 0.1)
+def check_sampler_trace(seed: int, count: int) -> CheckResult:
+    """The sampler keeps exactly the points the naive trace keeps."""
     mismatches = 0
-    for ts in _walks(seed, count, length):
-        vals = ts.values.tolist()
-        for t in thresholds:
+    for ts in generate_synthetic_corpus(seed, {"walk": count}, WALK_LENGTH).signals:
+        values = ts.values.tolist()
+        for t in THRESHOLDS:
             got = lebesgue_sample(ts, t)
-            want = _naive_delta_trace(vals, t)
-            if list(zip(got.indices.tolist(), got.values.tolist())) != want:
-                mismatches += 1
-    return CheckResult(
-        "sampler-vs-naive-trace",
-        mismatches == 0,
-        f"{count} walks x {len(thresholds)} thresholds, {mismatches} mismatches",
-    )
+            want = trace_send_on_delta(values, t)
+            mismatches += list(zip(got.indices.tolist(), got.values.tolist())) != want
+    detail = f"{count} walks x {len(THRESHOLDS)} thresholds, {mismatches} mismatches"
+    return CheckResult("sampler-vs-naive-trace", mismatches == 0, detail)
 
 
-def check_tolerated_region(seed: int = 12, count: int = 200, length: int = 500) -> CheckResult:
-    violations = 0
-    for ts in _walks(seed, count, length):
-        for t in (0.02, 0.05, 0.1):
+def check_band(seed: int, count: int) -> CheckResult:
+    """Every skipped point, the tail included, stays strictly inside the
+    band around the last kept value before it (kept points sit at 0 < t)."""
+    escaped = 0
+    for ts in generate_synthetic_corpus(seed, {"walk": count}, WALK_LENGTH).signals:
+        for t in THRESHOLDS:
             s = lebesgue_sample(ts, t)
-            idx = s.indices
-            for k in range(len(idx) - 1):
-                ref = s.values[k]
-                between = ts.values[idx[k] + 1 : idx[k + 1]]
-                if between.size and np.max(np.abs(between - ref)) >= t:
-                    violations += 1
-    return CheckResult(
-        "tolerated-region-containment",
-        violations == 0,
-        f"{count} walks, {violations} points escaped the band",
-    )
+            held = s.values[np.searchsorted(s.indices, np.arange(len(ts)), side="right") - 1]
+            escaped += int(np.count_nonzero(np.abs(ts.values - held) >= t))
+    detail = f"{count} walks x {len(THRESHOLDS)} thresholds, {escaped} points escaped the band"
+    return CheckResult("tolerated-region-containment", escaped == 0, detail)
 
 
-def check_limit_condition(seed: int = 13, cases: int = 10_000) -> CheckResult:
+def check_limit_condition(seed: int, cases: int) -> CheckResult:
+    """The single-point band-exit shortcut agrees with a scan of every
+    interior point, on flat, gentle and steep chords and at t = 0."""
     rng = np.random.default_rng(seed)
     disagreements = 0
     for _ in range(cases):
-        xa = int(rng.integers(0, 50))
-        xb = xa + int(rng.integers(1, 40))
-        ya = float(rng.uniform(-1.0, 1.0))
-        yb = float(rng.uniform(-1.0, 1.0))
-        t = float(rng.uniform(0.0, 0.5))
+        xa = int(rng.integers(0, 100))
+        xb = xa + int(rng.integers(1, 60))
+        ya = float(rng.uniform(-1, 1))
+        yb = ya if rng.random() < 0.05 else float(rng.uniform(-1, 1))
+        t = 0.0 if rng.random() < 0.05 else float(rng.uniform(0.0, 0.5))
         fast = abrupt_limit_condition(Knot(xa, ya), Knot(xb, yb), t)
-        slope = (yb - ya) / (xb - xa)
-        interior = np.arange(xa + 1, xb)
-        chord = ya + slope * (interior - xa)
-        brute = bool(interior.size) and bool(np.any(np.abs(chord - ya) > t))
-        if fast != brute:
-            disagreements += 1
-    return CheckResult(
-        "limit-condition-vs-interior-scan",
-        disagreements == 0,
-        f"{cases} random intervals, {disagreements} disagreements",
-    )
+        disagreements += fast != chord_exits_band(xa, ya, xb, yb, t)
+    detail = f"{cases} random intervals, {disagreements} disagreements"
+    return CheckResult("limit-condition-vs-interior-scan", disagreements == 0, detail)
 
 
-def check_convexity_area(seed: int = 14, samples: int = 1_000_000) -> CheckResult:
+def check_convexity_area(seed: int, samples: int) -> CheckResult:
+    """The turn heuristic's false-assumption region is a quarter of the box."""
     frac = monte_carlo_convexity_area(samples, seed)
     ok = abs(frac - 0.25) <= 0.005
     return CheckResult("convexity-false-assumption-area", ok, f"fraction {frac:.5f} vs 0.25 +/- 0.005")
 
 
-def check_pchip_fixtures(seed: int = 15) -> CheckResult:
+def _pchip(indices, values) -> np.ndarray:
+    idx = np.asarray(indices, dtype=np.int64)
+    return interp_pchip(SampledSeries(idx, values, int(idx[-1]) + 1, 0.0)).values
+
+
+def check_pchip_shape(seed: int, fixtures: int) -> CheckResult:
+    """PCHIP reproduces collinear knots (a dyadic line bit for bit), keeps
+    monotone knots monotone in either direction and stays inside each gap's
+    knot envelope."""
+    line, uneven = np.arange(13) * 0.25, np.arange(11) / 10.0
+    collinear = np.array_equal(_pchip([0, 4, 8, 12], line[::4]), line) and np.allclose(
+        _pchip([0, 3, 7, 10], uneven[[0, 3, 7, 10]]), uneven, rtol=0.0, atol=1e-12
+    )
     rng = np.random.default_rng(seed)
-    problems = []
-    # collinear knots reproduce the line exactly
-    s = SampledSeries(np.array([0, 3, 7, 10]), np.array([0.0, 0.3, 0.7, 1.0]), 11, 0.0)
-    got = interp_pchip(s).values
-    want = np.arange(11) / 10.0
-    if np.max(np.abs(got - want)) > 1e-12:
-        problems.append("collinear knots not reproduced")
-    # monotone knots stay monotone and inside the knot envelope
-    for _ in range(200):
-        k = int(rng.integers(3, 9))
-        idx = np.sort(rng.choice(np.arange(1, 40), size=k - 1, replace=False))
-        idx = np.concatenate([[0], idx])
-        vals = np.sort(rng.uniform(0.0, 1.0, size=k))
-        s = SampledSeries(idx, vals, int(idx[-1]) + 1, 0.0)
-        rec = interp_pchip(s).values
-        if np.any(np.diff(rec) < -1e-12):
-            problems.append("monotone input produced non-monotone output")
-            break
-        if rec.min() < vals.min() - 1e-12 or rec.max() > vals.max() + 1e-12:
-            problems.append("output escaped the knot envelope")
-            break
-    return CheckResult("pchip-shape-preservation", not problems, "; ".join(problems) or "200 fixtures ok")
+    non_monotone = escaped = 0
+    for _ in range(fixtures):
+        k = int(rng.integers(3, 10))
+        idx = np.concatenate([[0], np.sort(rng.choice(np.arange(1, 60), size=k - 1, replace=False))])
+        vals = np.sort(rng.uniform(0, 1, size=k))[:: -1 if rng.random() < 0.5 else 1]
+        out = _pchip(idx, vals)
+        non_monotone += bool(np.any(np.diff(out) * np.sign(vals[-1] - vals[0]) < -1e-12))
+        escaped += any(
+            out[a : b + 1].min() < min(ya, yb) - 1e-12 or out[a : b + 1].max() > max(ya, yb) + 1e-12
+            for a, b, ya, yb in zip(idx, idx[1:], vals, vals[1:])
+        )
+    detail = (f"collinear reproduced: {collinear}; {fixtures} monotone fixtures, "
+              f"{non_monotone} not monotone, {escaped} escaped a gap's knot envelope")
+    return CheckResult("pchip-shape-preservation", collinear and non_monotone == escaped == 0, detail)
 
 
 def run_all_checks() -> list[CheckResult]:
-    checks: list[Callable[[], CheckResult]] = [
-        check_sampler_against_trace,
-        check_tolerated_region,
-        check_limit_condition,
-        check_convexity_area,
-        check_pchip_fixtures,
+    """Every check at the sizes ``lebesgue-interp verify`` uses."""
+    return [
+        check_sampler_trace(11, 200),
+        check_band(12, 200),
+        check_limit_condition(13, 10_000),
+        check_convexity_area(14, 1_000_000),
+        check_pchip_shape(15, 200),
     ]
-    return [c() for c in checks]

@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here recomputes expectations from first principles (naive scans,
-pointwise formulas) and deliberately avoids the library's code paths.
+pointwise formulas) and deliberately avoids the library's code paths. The
+naive send-on-delta trace and the chord interior scan live with the property
+checks in ``lebesgue_interp.verify`` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -10,24 +12,7 @@ import math
 
 import numpy as np
 
-
-def trace_send_on_delta(values, threshold):
-    """Naive re-scan of the send-on-delta rule: restart the search after
-    every capture instead of streaming."""
-    values = list(values)
-    captured = [(0, values[0])]
-    pos = 0
-    while True:
-        ref = captured[-1][1]
-        nxt = None
-        for j in range(pos + 1, len(values)):
-            if abs(values[j] - ref) >= threshold:
-                nxt = j
-                break
-        if nxt is None:
-            return captured
-        captured.append((nxt, values[nxt]))
-        pos = nxt
+from lebesgue_interp.verify import chord_exits_band, trace_send_on_delta  # noqa: F401
 
 
 def zoh_pointwise(points, length):
@@ -65,15 +50,6 @@ def nearest_pointwise(points, length):
         best = min(points, key=lambda p: (abs(p[0] - x), p[0]))
         out.append(best[1])
     return out
-
-
-def chord_exits_band(xa, ya, xb, yb, threshold):
-    """Scan every interior grid point of the chord for a strict band exit."""
-    slope = (yb - ya) / (xb - xa)
-    for x in range(xa + 1, xb):
-        if abs(ya + slope * (x - xa) - ya) > threshold:
-            return True
-    return False
 
 
 def augmented_knots_scalar(points, params, turns):
@@ -175,16 +151,3 @@ def rmse_plain(a, b):
 def population_sd(values):
     mean = sum(values) / len(values)
     return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-
-
-def random_walks(seed, count, length, step_sd=0.02, normalize=True):
-    """Seeded normalized random walks shared by sampler-oracle tests."""
-    rng = np.random.default_rng(seed)
-    walks = []
-    for _ in range(count):
-        w = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, step_sd, size=length - 1))])
-        if normalize:
-            lo, hi = w.min(), w.max()
-            w = (w - lo) / (hi - lo) if hi > lo else np.zeros_like(w)
-        walks.append(w)
-    return walks

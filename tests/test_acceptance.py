@@ -10,35 +10,23 @@ import pytest
 from lebesgue_interp import (
     ExperimentConfig,
     SampleBudget,
-    TimeSeries,
     generate_synthetic_corpus,
-    lebesgue_sample,
     load_ucr_dataset,
     merge_bundles,
-    monte_carlo_convexity_area,
     run_experiment,
     threshold_candidates,
     tune_threshold,
+    verify,
 )
 from lebesgue_interp.baselines import interp_pchip
 from lebesgue_interp.cli import main as cli_main
-from lebesgue_interp.core import Knot
 from lebesgue_interp.sampling import _bundle_fraction
-from lebesgue_interp.zelic import abrupt_limit_condition
 from conftest import find_ucr_dataset, make_sampled
-from oracles import chord_exits_band, random_walks, trace_send_on_delta
-
-THRESHOLDS = (0.02, 0.05, 0.1)
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
     print(f"[{'PASS' if passed else 'FAIL'}] criterion {criterion}: {detail}")
     assert passed, f"criterion {criterion}: {detail}"
-
-
-@pytest.fixture(scope="module")
-def walk_corpus():
-    return random_walks(seed=2024, count=1000, length=500)
 
 
 @pytest.fixture(scope="module")
@@ -66,61 +54,26 @@ def ordering_corpus():
     return scores
 
 
-def test_criterion_1_sampling_oracle_equivalence(walk_corpus):
+def test_criterion_1_sampling_oracle_equivalence():
     started = time.perf_counter()
-    mismatches = 0
-    for walk in walk_corpus:
-        values = walk.tolist()
-        ts = TimeSeries(walk)
-        for t in THRESHOLDS:
-            got = lebesgue_sample(ts, t)
-            want = trace_send_on_delta(values, t)
-            if list(zip(got.indices.tolist(), got.values.tolist())) != want:
-                mismatches += 1
+    r = verify.check_sampler_trace(seed=2024, count=1000)
     elapsed = time.perf_counter() - started
-    report(
-        1,
-        mismatches == 0 and elapsed < 5.0,
-        f"1000 walks x 3 thresholds, {mismatches} mismatches, {elapsed:.2f}s (< 5s)",
-    )
+    report(1, r.passed and elapsed < 5.0, f"{r.detail}, {elapsed:.2f}s (< 5s)")
 
 
-def test_criterion_2_tolerated_region_invariant(walk_corpus):
-    violations = 0
-    for walk in walk_corpus:
-        ts = TimeSeries(walk)
-        for t in THRESHOLDS:
-            s = lebesgue_sample(ts, t)
-            idx = s.indices
-            for k in range(len(idx) - 1):
-                between = walk[idx[k] + 1 : idx[k + 1]]
-                if between.size and np.max(np.abs(between - s.values[k])) >= t:
-                    violations += 1
-    report(2, violations == 0, f"inter-sample containment on 1000 walks, {violations} violations")
+def test_criterion_2_tolerated_region_invariant():
+    r = verify.check_band(seed=2024, count=1000)
+    report(2, r.passed, r.detail)
 
 
 def test_criterion_3_limit_condition_proof_equivalence():
-    rng = np.random.default_rng(31)
-    disagreements = 0
-    cases = 10_000
-    for _ in range(cases):
-        xa = int(rng.integers(0, 100))
-        xb = xa + int(rng.integers(1, 60))
-        ya = float(rng.uniform(-1, 1))
-        # mix flat, gentle and steep exits, plus exact-zero slopes
-        yb = ya if rng.random() < 0.05 else float(rng.uniform(-1, 1))
-        t = 0.0 if rng.random() < 0.05 else float(rng.uniform(0.0, 0.5))
-        fast = abrupt_limit_condition(Knot(xa, ya), Knot(xb, yb), t)
-        brute = chord_exits_band(xa, ya, xb, yb, t)
-        if fast != brute:
-            disagreements += 1
-    report(3, disagreements == 0, f"{cases} random intervals, {disagreements} disagreements")
+    r = verify.check_limit_condition(seed=31, cases=10_000)
+    report(3, r.passed, r.detail)
 
 
 def test_criterion_4_convexity_geometry():
-    frac = monte_carlo_convexity_area(1_000_000, seed=41)
-    ok = abs(frac - 0.25) <= 0.005
-    report(4, ok, f"monte carlo fraction {frac:.5f} within 0.25 +/- 0.005")
+    r = verify.check_convexity_area(seed=41, samples=1_000_000)
+    report(4, r.passed, r.detail)
 
 
 def test_criterion_5_pchip_oracle():
@@ -134,34 +87,11 @@ def test_criterion_5_pchip_oracle():
         s = make_sampled(idx, vals, int(idx[-1]) + 1)
         ref = scipy_interp.PchipInterpolator(idx, vals)(np.arange(int(idx[-1]) + 1))
         worst = max(worst, float(np.max(np.abs(interp_pchip(s).values - ref))))
-    match_ok = worst <= 1e-9
-
-    line = np.arange(13) * 0.25
-    s = make_sampled([0, 4, 8, 12], line[[0, 4, 8, 12]], 13)
-    collinear_ok = bool(np.array_equal(interp_pchip(s).values, line))
-
-    mono_ok = True
-    envelope_ok = True
-    for _ in range(1000):
-        k = int(rng.integers(3, 10))
-        idx = np.concatenate([[0], np.sort(rng.choice(np.arange(1, 60), size=k - 1, replace=False))])
-        vals = np.sort(rng.uniform(0, 1, size=k))
-        if rng.random() < 0.5:
-            vals = vals[::-1].copy()
-        s = make_sampled(idx, vals, int(idx[-1]) + 1)
-        out = interp_pchip(s).values
-        diffs = np.diff(out)
-        if not (np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12)):
-            mono_ok = False
-        for (xa, ya), (xb, yb) in zip(s.points, s.points[1:]):
-            seg = out[xa : xb + 1]
-            if seg.min() < min(ya, yb) - 1e-12 or seg.max() > max(ya, yb) + 1e-12:
-                envelope_ok = False
+    shape = verify.check_pchip_shape(seed=51, fixtures=1000)
     report(
         5,
-        match_ok and collinear_ok and mono_ok and envelope_ok,
-        f"reference match worst |diff| {worst:.2e} (<= 1e-9); collinear exact: {collinear_ok}; "
-        f"monotone preserved: {mono_ok}; envelope held: {envelope_ok}",
+        worst <= 1e-9 and shape.passed,
+        f"reference match worst |diff| {worst:.2e} (<= 1e-9); {shape.detail}",
     )
 
 

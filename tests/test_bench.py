@@ -13,7 +13,6 @@ from lebesgue_interp import (
     MethodReport,
     ParseError,
     Reconstruction,
-    ShapeError,
     TimeSeries,
     abruptness,
     emit_report,
@@ -23,7 +22,6 @@ from lebesgue_interp import (
     lebesgue_sample,
     load_ucr_dataset,
     merge_bundles,
-    monte_carlo_convexity_area,
     run_benchmark,
     run_experiment,
 )
@@ -61,11 +59,17 @@ class TestLoadUcrDataset:
             load_ucr_dataset(bad)
         assert err.value.row == 1 and err.value.column == 1
 
-    def test_ragged_rows_rejected(self, tmp_path):
+    def test_ragged_rows_load_and_run(self, tmp_path):
         ragged = tmp_path / "Ragged_TRAIN.tsv"
         ragged.write_text("1\t0.0\t0.1\t0.2\n1\t0.0\t0.1\n")
-        with pytest.raises(ShapeError, match="signal 1"):
-            load_ucr_dataset(ragged)
+        bundle = load_ucr_dataset(ragged)
+        assert [len(s) for s in bundle.signals] == [3, 2]
+        fixed = run_experiment(bundle, ExperimentConfig())
+        assert fixed.datasets[0].achieved_fraction == 1.0
+        budget = run_experiment(
+            bundle, ExperimentConfig(mode=ExperimentMode.BUDGET, target_fraction=0.5)
+        )
+        assert budget.datasets[0].achieved_fraction == (1 / 3 + 1 / 2) / 2
 
     def test_csv_with_header_and_no_label(self, tmp_path):
         f = tmp_path / "plain.csv"
@@ -250,29 +254,6 @@ class TestEmitReport:
         assert float(format(value, ".17g")) == value  # lossless round trip
         json_text = (tmp_path / "report.json").read_text()
         assert format(0.05, ".17g") in json_text  # threshold echoed at 17 digits
-
-
-class TestMonteCarloConvexityArea:
-    def test_quarter_fraction(self):
-        frac = monte_carlo_convexity_area(1_000_000, seed=0)
-        assert frac == pytest.approx(0.25, abs=0.005)
-
-    def test_seeded_and_deterministic(self):
-        assert monte_carlo_convexity_area(10_000, seed=5) == monte_carlo_convexity_area(
-            10_000, seed=5
-        )
-
-    def test_zero_threshold_empty_region(self):
-        assert monte_carlo_convexity_area(10_000, seed=1, threshold=0.0) == 0.0
-
-    def test_threshold_independence(self):
-        a = monte_carlo_convexity_area(200_000, seed=2, threshold=1.0)
-        b = monte_carlo_convexity_area(200_000, seed=2, threshold=0.05)
-        assert a == pytest.approx(b, abs=0.01)
-
-    def test_sample_floor_enforced(self):
-        with pytest.raises(InvalidInputError):
-            monte_carlo_convexity_area(100, seed=0)
 
 
 class TestRunBenchmark:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from lebesgue_interp import ReconstructionParams, TimeSeries, lebesgue_sample
+from lebesgue_interp import ReconstructionParams, TimeSeries, lebesgue_sample, verify
 from lebesgue_interp.bench import METHODS
 from lebesgue_interp.cli import main
 
@@ -136,6 +136,15 @@ class TestBenchCommand:
         assert code == 0
         assert (out / "Lines_rmse.csv").exists()
 
+    def test_budget_on_constant_rows(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "Flat_TRAIN.tsv").write_text("1\t" + "\t".join(["0.5"] * 10) + "\n")
+        out = tmp_path / "rep4"
+        assert main(["bench", "--experiment", "2", "--data-dir", str(data), "--out", str(out)]) == 0
+        ds = json.loads((out / "report.json").read_text())["datasets"][0]
+        assert ds["achieved_fraction"] == 0.1
+
     def test_missing_data_dir_exits_2(self, tmp_path):
         code = main(["bench", "--data-dir", str(tmp_path / "void"), "--out", str(tmp_path)])
         assert code == 2
@@ -146,11 +155,26 @@ class TestBenchCommand:
         assert code == 1
 
 
+CHECKS = (
+    "sampler-vs-naive-trace",
+    "tolerated-region-containment",
+    "limit-condition-vs-interior-scan",
+    "convexity-false-assumption-area",
+    "pchip-shape-preservation",
+)
+
+
 class TestVerifyAndHelp:
     def test_verify_passes(self, capsys):
         assert main(["verify"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("[PASS]") >= 5 and "[FAIL]" not in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"[PASS] {name}" for name in CHECKS]
+
+    def test_verify_failure_exits_1(self, capsys, monkeypatch):
+        failed = verify.CheckResult("tolerated-region-containment", False, "1 point escaped")
+        monkeypatch.setattr(verify, "check_band", lambda seed, count: failed)
+        assert main(["verify"]) == 1
+        assert "[FAIL] tolerated-region-containment: 1 point escaped" in capsys.readouterr().out
 
     def test_help_exits_0_and_lists_subcommands(self, capsys):
         assert main(["--help"]) == 0

@@ -9,11 +9,9 @@ from lebesgue_interp import (
     InvalidInputError,
     ReconstructionParams,
     SampledSeries,
-    ShapeError,
     TimeSeries,
     ToleratedRegion,
     normalize_unit_interval,
-    series_equal_length_check,
 )
 
 finite_values = st.lists(
@@ -147,15 +145,6 @@ class TestReconstructionParams:
 
 
 class TestEqualLengthCheck:
-    def test_uniform_ok(self, ts):
-        bundle = DatasetBundle("d", tuple(ts(np.zeros(100)) for _ in range(3)))
-        assert series_equal_length_check(bundle) is bundle
-
-    def test_ragged_names_offender(self, ts):
-        bundle = DatasetBundle("d", (ts(np.zeros(100)), ts(np.zeros(99))))
-        with pytest.raises(ShapeError, match="signal 1"):
-            series_equal_length_check(bundle)
-
     def test_empty_bundle_rejected(self):
         with pytest.raises(InvalidInputError):
             DatasetBundle("d", ())

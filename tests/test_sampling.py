@@ -8,13 +8,14 @@ from lebesgue_interp import (
     InvalidInputError,
     SampleBudget,
     TimeSeries,
+    generate_synthetic_corpus,
     lebesgue_sample,
     riemann_sample,
     threshold_candidates,
     tolerated_region,
     tune_threshold,
 )
-from oracles import random_walks, trace_send_on_delta
+from oracles import trace_send_on_delta
 
 
 class TestLebesgueSample:
@@ -43,7 +44,7 @@ class TestLebesgueSample:
     @given(seed=st.integers(0, 10_000), threshold=st.sampled_from([0.02, 0.05, 0.1, 0.3]))
     @settings(max_examples=60, deadline=None)
     def test_matches_naive_trace(self, seed, threshold):
-        (walk,) = random_walks(seed, 1, 120)
+        walk = generate_synthetic_corpus(seed, {"walk": 1}, 120).signals[0].values
         got = lebesgue_sample(TimeSeries(walk), threshold)
         want = trace_send_on_delta(walk.tolist(), threshold)
         assert list(zip(got.indices.tolist(), got.values.tolist())) == want
@@ -51,7 +52,7 @@ class TestLebesgueSample:
     @given(seed=st.integers(0, 10_000), threshold=st.sampled_from([0.02, 0.05, 0.1]))
     @settings(max_examples=60, deadline=None)
     def test_tolerated_region_containment(self, seed, threshold):
-        (walk,) = random_walks(seed, 1, 200)
+        walk = generate_synthetic_corpus(seed, {"walk": 1}, 200).signals[0].values
         s = lebesgue_sample(TimeSeries(walk), threshold)
         idx = s.indices
         for k in range(len(idx) - 1):
@@ -61,7 +62,7 @@ class TestLebesgueSample:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_consecutive_sampled_values_differ_by_threshold(self, seed):
-        (walk,) = random_walks(seed, 1, 200)
+        walk = generate_synthetic_corpus(seed, {"walk": 1}, 200).signals[0].values
         s = lebesgue_sample(TimeSeries(walk), 0.05)
         if len(s) > 1:
             assert np.all(np.abs(np.diff(s.values)) >= 0.05)
@@ -69,8 +70,8 @@ class TestLebesgueSample:
     def test_count_monotone_on_spread_thresholds(self):
         # holds for well-separated thresholds on generic walks (and is
         # asserted as such), unlike the fine-grained case below
-        for walk in random_walks(202, 50, 300):
-            counts = [len(lebesgue_sample(TimeSeries(walk), t)) for t in (0.02, 0.05, 0.1)]
+        for walk in generate_synthetic_corpus(202, {"walk": 50}, 300).signals:
+            counts = [len(lebesgue_sample(walk, t)) for t in (0.02, 0.05, 0.1)]
             assert counts[0] >= counts[1] >= counts[2]
 
     def test_count_not_globally_monotone_in_threshold(self):
@@ -157,8 +158,8 @@ class TestTuneThreshold:
         assert frac == pytest.approx(best)
 
     def test_feasible_boundary_on_walks(self, ts):
-        signals = tuple(TimeSeries(w) for w in random_walks(5, 6, 250))
-        bundle = DatasetBundle("walks", signals)
+        bundle = generate_synthetic_corpus(5, {"walk": 6}, 250, name="walks")
+        signals = bundle.signals
         t, frac = tune_threshold(bundle, SampleBudget(0.2))
         assert frac <= 0.2
         cands = threshold_candidates(bundle)
@@ -175,6 +176,16 @@ class TestTuneThreshold:
         with pytest.raises(InfeasibleBudgetError) as err:
             tune_threshold(bundle, SampleBudget(0.05))
         assert err.value.min_achievable_fraction > 0.05
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [([0.3] * 10, (5e-324, 0.1)), ([0.0, 1.0, 0.0, 1.0], (np.nextafter(1.0, np.inf), 0.25))],
+    )
+    def test_threshold_above_largest_difference(self, ts, values, want):
+        # every grid candidate keeps too much; the float above the largest
+        # difference keeps only the first point
+        bundle = DatasetBundle("b", (ts(values),))
+        assert tune_threshold(bundle, SampleBudget(0.5)) == want
 
     def test_candidate_grid_covers_pairwise_differences(self, ts):
         bundle = DatasetBundle("b", (ts([0.0, 0.1, 0.3]),))
@@ -196,7 +207,9 @@ class TestTuneThreshold:
             TimeSeries(rng.uniform(0.0, 1.0, size=n).round(2)) for _ in range(2)
         )
         bundle = DatasetBundle("b", signals)
+        # the grid plus the float above its largest difference, (d_max, inf)
         cands = threshold_candidates(bundle)
+        cands = np.append(cands, np.nextafter(cands[-1], np.inf))
 
         def frac_at(c):
             return float(
