@@ -25,12 +25,10 @@ from .bench import (
 )
 from .core import (
     DatasetBundle,
-    Knot,
     Reconstruction,
     ReconstructionParams,
     SampledSeries,
     TimeSeries,
-    ToleratedRegion,
     normalize_unit_interval,
 )
 from .errors import (
@@ -53,7 +51,6 @@ from .sampling import (
     lebesgue_sample,
     riemann_sample,
     threshold_candidates,
-    tolerated_region,
     tune_threshold,
 )
 from .zelic import (
@@ -73,7 +70,6 @@ __all__ = [
     "ExperimentMode",
     "InfeasibleBudgetError",
     "InvalidInputError",
-    "Knot",
     "METHODS",
     "MethodReport",
     "MethodScore",
@@ -84,7 +80,6 @@ __all__ = [
     "SampledSeries",
     "ShapeError",
     "TimeSeries",
-    "ToleratedRegion",
     "abrupt_limit_condition",
     "abruptness",
     "aggregate_report",
@@ -108,6 +103,5 @@ __all__ = [
     "run_benchmark",
     "run_experiment",
     "threshold_candidates",
-    "tolerated_region",
     "tune_threshold",
 ]

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .core import (
     TimeSeries,
     normalize_unit_interval,
 )
-from .errors import InvalidInputError, ParseError, ShapeError
+from .errors import InvalidInputError, ParseError
 from .metrics import (
     DatasetResult,
     MethodReport,
@@ -137,23 +137,20 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _parse_rows(
-    path: Path, delimiter: str, label_column: int | None, has_header: bool
-) -> list[np.ndarray]:
+def _parse_rows(path: Path) -> list[np.ndarray]:
+    """Tab-separated rows with the label in column 0 dropped; columns count
+    from the first value. Trailing NaN fields, the archive's padding of
+    short rows, are trimmed; any other NaN or inf is an error."""
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
     rows: list[np.ndarray] = []
     with path.open("r", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        for r, fields in enumerate(reader):
+        for r, fields in enumerate(csv.reader(fh, delimiter="\t")):
             if not fields or (len(fields) == 1 and not fields[0].strip()):
                 continue  # skip blank lines
-            if has_header and r == 0:
-                continue
-            if label_column is not None:
-                if label_column >= len(fields):
-                    raise ShapeError(f"{path}: row {r} too short for label column {label_column}")
-                fields = fields[:label_column] + fields[label_column + 1 :]
+            fields = fields[1:]
+            while fields and fields[-1].strip().lower() == "nan":
+                fields.pop()
             try:
                 values = np.asarray([float(f) for f in fields], dtype=np.float64)
             except ValueError:
@@ -165,6 +162,13 @@ def _parse_rows(
                             f"{path}: cannot parse {f!r} at row {r}, column {c}", row=r, column=c
                         ) from None
                 raise
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                c = int(bad[0])
+                msg = f"{path}: non-finite value {fields[c]!r} at row {r}, column {c}"
+                raise ParseError(msg, row=r, column=c)
+            if not values.size:
+                raise ParseError(f"{path}: row {r} has no values", row=r)
             rows.append(values)
     return rows
 
@@ -173,30 +177,18 @@ def load_ucr_dataset(
     train_path: str | os.PathLike,
     test_path: str | os.PathLike | None = None,
     *,
-    format: str = "tsv",
     name: str | None = None,
-    label_column: int | None = 0,
-    has_header: bool = False,
 ) -> DatasetBundle:
-    """Load a classification-archive style file pair into one bundle.
+    """Load a UCR archive TSV file pair into one bundle.
 
-    Rows are a label followed by the signal values; labels are discarded
-    and train rows come before test rows. TSV fixes tab separation and the
-    label in column 0; CSV is comma separated with an optional header and a
-    configurable (or absent) label column.
+    Rows are a label followed by the signal values, tab separated; labels
+    are discarded, trailing NaN padding is trimmed and train rows come
+    before test rows.
     """
-    fmt = format.lower()
-    if fmt == "tsv":
-        delimiter, label_col, header = "\t", 0, False
-    elif fmt == "csv":
-        delimiter, label_col, header = ",", label_column, has_header
-    else:
-        raise InvalidInputError(f"format must be 'tsv' or 'csv', got {format!r}")
-
     train_path = Path(train_path)
-    rows = _parse_rows(train_path, delimiter, label_col, header)
+    rows = _parse_rows(train_path)
     if test_path is not None:
-        rows += _parse_rows(Path(test_path), delimiter, label_col, header)
+        rows += _parse_rows(Path(test_path))
     if not rows:
         raise InvalidInputError(f"no data rows in {train_path}")
 
@@ -210,7 +202,7 @@ def load_ucr_dataset(
     return DatasetBundle(
         name=name,
         signals=tuple(TimeSeries(r) for r in rows),
-        provenance=f"{train_path}" + (f" + {test_path}" if test_path else "") + f" ({fmt})",
+        provenance=f"{train_path}" + (f" + {test_path}" if test_path else "") + " (tsv)",
     )
 
 
@@ -473,11 +465,7 @@ def _json_text(obj, indent: int = 0) -> str:
     raise InvalidInputError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def emit_report(
-    report: MethodReport,
-    out_dir: str | os.PathLike,
-    formats: Iterable[str] = ("csv", "json"),
-) -> list[Path]:
+def emit_report(report: MethodReport, out_dir: str | os.PathLike) -> list[Path]:
     """Write the per-dataset tables, the summary and the long-format CSV.
 
     Files: ``<dataset>_rmse.csv`` (one per dataset; columns are methods in
@@ -487,77 +475,71 @@ def emit_report(
     """
     if not report.summary:
         raise InvalidInputError("report has no methods")
-    wanted = {f.lower() for f in formats}
-    unknown = wanted - {"csv", "json"}
-    if unknown:
-        raise InvalidInputError(f"unknown formats: {sorted(unknown)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     methods = list(report.method_names)
     written: list[Path] = []
 
-    if "csv" in wanted:
+    for d in report.datasets:
+        safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in d.dataset)
+        path = out / f"{safe}_rmse.csv"
+        with path.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["dataset", *methods])
+            w.writerow([d.dataset, *(_fmt(d.score_for(m).mean_rmse) for m in methods)])
+        written.append(path)
+
+    path = out / "summary.csv"
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["method", "mean_rmse", "mean_rank", "wins"])
+        for s in report.summary:
+            w.writerow([s.method_name, _fmt(s.mean_rmse), _fmt(s.mean_rank), s.wins])
+    written.append(path)
+
+    path = out / "boxplot_long.csv"
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["dataset", "method", "rmse", "rank"])
         for d in report.datasets:
-            safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in d.dataset)
-            path = out / f"{safe}_rmse.csv"
-            with path.open("w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["dataset", *methods])
-                w.writerow([d.dataset, *(_fmt(d.score_for(m).mean_rmse) for m in methods)])
-            written.append(path)
+            for m in methods:
+                sc = d.score_for(m)
+                w.writerow([d.dataset, m, _fmt(sc.mean_rmse), sc.rank_position])
+    written.append(path)
 
-        path = out / "summary.csv"
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["method", "mean_rmse", "mean_rank", "wins"])
-            for s in report.summary:
-                w.writerow([s.method_name, _fmt(s.mean_rmse), _fmt(s.mean_rank), s.wins])
-        written.append(path)
-
-        path = out / "boxplot_long.csv"
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["dataset", "method", "rmse", "rank"])
-            for d in report.datasets:
-                for m in methods:
-                    sc = d.score_for(m)
-                    w.writerow([d.dataset, m, _fmt(sc.mean_rmse), sc.rank_position])
-        written.append(path)
-
-    if "json" in wanted:
-        payload = {
-            "config": dict(report.config) if report.config else None,
-            "datasets": [
-                {
-                    "dataset": d.dataset,
-                    "threshold": d.threshold,
-                    "achieved_fraction": d.achieved_fraction,
-                    "abruptness": d.abruptness,
-                    "scores": [
-                        {
-                            "method": s.method_name,
-                            "mean_rmse": s.mean_rmse,
-                            "median_rmse": s.median_rmse,
-                            "rank": s.rank_position,
-                        }
-                        for s in d.scores
-                    ],
-                }
-                for d in report.datasets
-            ],
-            "summary": [
-                {
-                    "method": s.method_name,
-                    "mean_rmse": s.mean_rmse,
-                    "mean_rank": s.mean_rank,
-                    "wins": s.wins,
-                }
-                for s in report.summary
-            ],
-        }
-        path = out / "report.json"
-        with path.open("w") as fh:
-            fh.write(_json_text(payload))
-            fh.write("\n")
-        written.append(path)
+    payload = {
+        "config": dict(report.config) if report.config else None,
+        "datasets": [
+            {
+                "dataset": d.dataset,
+                "threshold": d.threshold,
+                "achieved_fraction": d.achieved_fraction,
+                "abruptness": d.abruptness,
+                "scores": [
+                    {
+                        "method": s.method_name,
+                        "mean_rmse": s.mean_rmse,
+                        "median_rmse": s.median_rmse,
+                        "rank": s.rank_position,
+                    }
+                    for s in d.scores
+                ],
+            }
+            for d in report.datasets
+        ],
+        "summary": [
+            {
+                "method": s.method_name,
+                "mean_rmse": s.mean_rmse,
+                "mean_rank": s.mean_rank,
+                "wins": s.wins,
+            }
+            for s in report.summary
+        ],
+    }
+    path = out / "report.json"
+    with path.open("w") as fh:
+        fh.write(_json_text(payload))
+        fh.write("\n")
+    written.append(path)
     return written

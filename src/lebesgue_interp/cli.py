@@ -128,6 +128,9 @@ def _cmd_reconstruct(args) -> int:
         subsequent_max_distance=args.max_dist,
     )
     rec = METHODS[args.method](s, params)
+    bad = np.flatnonzero(~np.isfinite(rec.values))
+    if bad.size:  # differences between huge knot values overflow float64
+        raise InvalidInputError(f"{args.method} output is not finite at index {int(bad[0])}")
     out = Path(args.output)
     with out.open("w", newline="") as fh:
         w = csv.writer(fh)
@@ -163,10 +166,8 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
     )
     if args.data_dir:
-        bundles = [
-            load_ucr_dataset(train, test, format="tsv")
-            for train, test in _discover_datasets(Path(args.data_dir))
-        ]
+        pairs = _discover_datasets(Path(args.data_dir))
+        bundles = [load_ucr_dataset(train, test) for train, test in pairs]
     else:
         counts = {}
         for token in args.synthetic.split(","):
@@ -177,7 +178,7 @@ def _cmd_bench(args) -> int:
             for i, (fam, cnt) in enumerate(counts.items())
         ]
     report = run_benchmark(bundles, config)
-    written = emit_report(report, args.out, formats=("csv", "json"))
+    written = emit_report(report, args.out)
     best = report.summary[0]
     print(f"{len(report.datasets)} dataset(s); best method {best.method_name} "
           f"(mean RMSE {best.mean_rmse:.6g}, wins {best.wins})")

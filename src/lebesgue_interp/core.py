@@ -8,29 +8,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError, ShapeError
 
 __all__ = [
-    "Knot",
     "TimeSeries",
     "SampledSeries",
     "Reconstruction",
-    "ToleratedRegion",
     "ReconstructionParams",
     "DatasetBundle",
     "normalize_unit_interval",
 ]
-
-
-class Knot(NamedTuple):
-    """A retained (index, value) pair that a reconstruction must pass through."""
-
-    index: int
-    value: float
 
 
 def _as_signal_array(values, what: str) -> np.ndarray:
@@ -101,8 +91,8 @@ class SampledSeries:
         return int(self.indices.size)
 
     @property
-    def points(self) -> list[Knot]:
-        return [Knot(int(i), float(v)) for i, v in zip(self.indices, self.values)]
+    def points(self) -> list[tuple[int, float]]:
+        return list(zip(self.indices.tolist(), self.values.tolist()))
 
     @property
     def fraction(self) -> float:
@@ -124,29 +114,6 @@ class Reconstruction:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class ToleratedRegion:
-    """The band around the last retained value inside which no event fires."""
-
-    center: float
-    half_width: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.half_width) and self.half_width >= 0.0):
-            raise InvalidInputError(f"half_width must be finite and >= 0, got {self.half_width}")
-
-    @property
-    def lower(self) -> float:
-        return self.center - self.half_width
-
-    @property
-    def upper(self) -> float:
-        return self.center + self.half_width
-
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DatasetBundle, SampledSeries, TimeSeries, ToleratedRegion
+from .core import DatasetBundle, SampledSeries, TimeSeries
 from .errors import InfeasibleBudgetError, InvalidInputError
 
 __all__ = [
     "SampleBudget",
     "lebesgue_sample",
     "riemann_sample",
-    "tolerated_region",
     "tune_threshold",
     "threshold_candidates",
 ]
@@ -84,13 +83,6 @@ def riemann_sample(series: TimeSeries, budget: SampleBudget) -> SampledSeries:
         source_length=n,
         threshold=0.0,
     )
-
-
-def tolerated_region(last_sample_value: float, threshold: float) -> ToleratedRegion:
-    """Band of width 2*threshold centered on the last captured value."""
-    if not (math.isfinite(threshold) and threshold >= 0.0):
-        raise InvalidInputError(f"threshold must be finite and >= 0, got {threshold}")
-    return ToleratedRegion(center=float(last_sample_value), half_width=float(threshold))
 
 
 def threshold_candidates(bundle: DatasetBundle) -> np.ndarray:

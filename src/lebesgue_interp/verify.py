@@ -15,7 +15,7 @@ import numpy as np
 
 from .baselines import interp_pchip
 from .bench import generate_synthetic_corpus
-from .core import Knot, SampledSeries
+from .core import SampledSeries, TimeSeries
 from .errors import InvalidInputError
 from .sampling import lebesgue_sample
 from .zelic import abrupt_limit_condition
@@ -99,16 +99,21 @@ def monte_carlo_convexity_area(samples: int, seed: int, threshold: float = 1.0) 
     return hits / samples
 
 
+def _walk_cases(seed: int, count: int):
+    """Each walk at every threshold, then rounded to 1/64ths at t = 1/16, where |v - ref| == t."""
+    for ts in generate_synthetic_corpus(seed, {"walk": count}, WALK_LENGTH).signals:
+        for t in THRESHOLDS:
+            yield ts, t
+        yield TimeSeries(np.round(ts.values * 64.0) / 64.0), 1 / 16
+
+
 def check_sampler_trace(seed: int, count: int) -> CheckResult:
     """The sampler keeps exactly the points the naive trace keeps."""
     mismatches = 0
-    for ts in generate_synthetic_corpus(seed, {"walk": count}, WALK_LENGTH).signals:
-        values = ts.values.tolist()
-        for t in THRESHOLDS:
-            got = lebesgue_sample(ts, t)
-            want = trace_send_on_delta(values, t)
-            mismatches += list(zip(got.indices.tolist(), got.values.tolist())) != want
-    detail = f"{count} walks x {len(THRESHOLDS)} thresholds, {mismatches} mismatches"
+    for ts, t in _walk_cases(seed, count):
+        got = lebesgue_sample(ts, t)
+        mismatches += got.points != trace_send_on_delta(ts.values.tolist(), t)
+    detail = f"{count} walks x {len(THRESHOLDS)} thresholds + quantized, {mismatches} mismatches"
     return CheckResult("sampler-vs-naive-trace", mismatches == 0, detail)
 
 
@@ -116,12 +121,11 @@ def check_band(seed: int, count: int) -> CheckResult:
     """Every skipped point, the tail included, stays strictly inside the
     band around the last kept value before it (kept points sit at 0 < t)."""
     escaped = 0
-    for ts in generate_synthetic_corpus(seed, {"walk": count}, WALK_LENGTH).signals:
-        for t in THRESHOLDS:
-            s = lebesgue_sample(ts, t)
-            held = s.values[np.searchsorted(s.indices, np.arange(len(ts)), side="right") - 1]
-            escaped += int(np.count_nonzero(np.abs(ts.values - held) >= t))
-    detail = f"{count} walks x {len(THRESHOLDS)} thresholds, {escaped} points escaped the band"
+    for ts, t in _walk_cases(seed, count):
+        s = lebesgue_sample(ts, t)
+        held = s.values[np.searchsorted(s.indices, np.arange(len(ts)), side="right") - 1]
+        escaped += int(np.count_nonzero(np.abs(ts.values - held) >= t))
+    detail = f"{count} walks x {len(THRESHOLDS)} thresholds + quantized, {escaped} escaped the band"
     return CheckResult("tolerated-region-containment", escaped == 0, detail)
 
 
@@ -136,7 +140,7 @@ def check_limit_condition(seed: int, cases: int) -> CheckResult:
         ya = float(rng.uniform(-1, 1))
         yb = ya if rng.random() < 0.05 else float(rng.uniform(-1, 1))
         t = 0.0 if rng.random() < 0.05 else float(rng.uniform(0.0, 0.5))
-        fast = abrupt_limit_condition(Knot(xa, ya), Knot(xb, yb), t)
+        fast = abrupt_limit_condition(xa, ya, xb, yb, t)
         disagreements += fast != chord_exits_band(xa, ya, xb, yb, t)
     detail = f"{cases} random intervals, {disagreements} disagreements"
     return CheckResult("limit-condition-vs-interior-scan", disagreements == 0, detail)
@@ -155,13 +159,16 @@ def _pchip(indices, values) -> np.ndarray:
 
 
 def check_pchip_shape(seed: int, fixtures: int) -> CheckResult:
-    """PCHIP reproduces collinear knots (a dyadic line bit for bit), keeps
-    monotone knots monotone in either direction and stays inside each gap's
-    knot envelope."""
+    """PCHIP reproduces collinear knots (a dyadic line bit for bit), clamps
+    an end slope to 3x the end secant where the secants change sign, keeps
+    monotone knots monotone in either direction and stays inside each
+    gap's knot envelope."""
     line, uneven = np.arange(13) * 0.25, np.arange(11) / 10.0
     collinear = np.array_equal(_pchip([0, 4, 8, 12], line[::4]), line) and np.allclose(
         _pchip([0, 3, 7, 10], uneven[[0, 3, 7, 10]]), uneven, rtol=0.0, atol=1e-12
     )
+    # The one-sided end slope 1.75 exceeds 3 x 0.5, is clamped to 1.5 and gives 0.875.
+    clamped = _pchip([0, 2, 4], [0, 1, -3])[1] == _pchip([0, 2, 4], [-3, 1, 0])[3] == 0.875
     rng = np.random.default_rng(seed)
     non_monotone = escaped = 0
     for _ in range(fixtures):
@@ -174,9 +181,11 @@ def check_pchip_shape(seed: int, fixtures: int) -> CheckResult:
             out[a : b + 1].min() < min(ya, yb) - 1e-12 or out[a : b + 1].max() > max(ya, yb) + 1e-12
             for a, b, ya, yb in zip(idx, idx[1:], vals, vals[1:])
         )
-    detail = (f"collinear reproduced: {collinear}; {fixtures} monotone fixtures, "
-              f"{non_monotone} not monotone, {escaped} escaped a gap's knot envelope")
-    return CheckResult("pchip-shape-preservation", collinear and non_monotone == escaped == 0, detail)
+    detail = (f"collinear reproduced: {collinear}; end slopes clamped: {clamped}; "
+              f"{fixtures} monotone fixtures, {non_monotone} not monotone, "
+              f"{escaped} escaped a gap's knot envelope")
+    ok = collinear and clamped and non_monotone == escaped == 0
+    return CheckResult("pchip-shape-preservation", ok, detail)
 
 
 def run_all_checks() -> list[CheckResult]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .baselines import chord_kernel, cubic_kernel
-from .core import Knot, Reconstruction, ReconstructionParams, SampledSeries
+from .core import Reconstruction, ReconstructionParams, SampledSeries
 from .errors import InvalidInputError
 
 __all__ = [
@@ -25,21 +25,20 @@ __all__ = [
 ]
 
 
-def abrupt_limit_condition(a: Knot, b: Knot, threshold: float) -> bool:
-    """True iff the chord from a to b exits the tolerated band of a.
+def abrupt_limit_condition(xa: int, ya: float, xb: int, yb: float, threshold: float) -> bool:
+    """True iff the chord from (xa, ya) to (xb, yb) exits the tolerated band of ya.
 
-    Checking only the last interior grid point x = b.index - 1 suffices:
-    the chord's deviation |slope| * (x - a.index) is largest there, so it
-    lies strictly outside the band iff that single point does. A zero
-    slope can never leave the band; adjacent knots have nothing between.
+    Checking only the last interior grid point x = xb - 1 suffices: the
+    chord's deviation |slope| * (x - xa) is largest there, so it lies
+    strictly outside the band iff that single point does. A zero slope can
+    never leave the band; adjacent knots have nothing between.
     """
-    if a.index >= b.index:
-        raise InvalidInputError(f"interval endpoints must be ordered, got {a.index} >= {b.index}")
-    slope = (b.value - a.value) / (b.index - a.index)
+    if xa >= xb:
+        raise InvalidInputError(f"interval endpoints must be ordered, got {xa} >= {xb}")
+    slope = (yb - ya) / (xb - xa)
     if slope == 0.0:
         return False
-    x_last_interior = b.index - 1
-    return x_last_interior > threshold / abs(slope) + a.index
+    return xb - 1 > threshold / abs(slope) + xa
 
 
 def knot_plan(

@@ -71,16 +71,24 @@ class TestLoadUcrDataset:
         )
         assert budget.datasets[0].achieved_fraction == (1 / 3 + 1 / 2) / 2
 
-    def test_csv_with_header_and_no_label(self, tmp_path):
-        f = tmp_path / "plain.csv"
-        f.write_text("a,b,c\n0.1,0.2,0.3\n0.4,0.5,0.6\n")
-        bundle = load_ucr_dataset(f, format="csv", label_column=None, has_header=True)
-        assert len(bundle) == 2
-        np.testing.assert_array_equal(bundle.signals[0].values, [0.1, 0.2, 0.3])
+    def test_trailing_nan_padding_trimmed(self, tmp_path):
+        padded = tmp_path / "Padded_TRAIN.tsv"
+        padded.write_text("1\t0.1\t0.2\tNaN\tNaN\n")
+        np.testing.assert_array_equal(load_ucr_dataset(padded).signals[0].values, [0.1, 0.2])
 
-    def test_unknown_format_rejected(self, tsv_pair):
-        with pytest.raises(InvalidInputError):
-            load_ucr_dataset(tsv_pair[0], format="parquet")
+    def test_row_without_values_rejected(self, tmp_path):
+        bad = tmp_path / "Empty_TRAIN.tsv"
+        bad.write_text("1\t0.1\n1\tNaN\tNaN\n")
+        with pytest.raises(ParseError, match="Empty_TRAIN.tsv: row 1 has no values"):
+            load_ucr_dataset(bad)
+
+    @pytest.mark.parametrize("row", ["1\t0.1\tNaN\t0.2", "1\t0.1\tinf\tNaN"], ids=["nan", "inf"])
+    def test_interior_non_finite_reports_position(self, tmp_path, row):
+        bad = tmp_path / "Gap_TRAIN.tsv"
+        bad.write_text(row + "\n")
+        with pytest.raises(ParseError, match="Gap_TRAIN.tsv.*row 0, column 1") as err:
+            load_ucr_dataset(bad)
+        assert err.value.row == 0 and err.value.column == 1
 
 
 class TestSyntheticCorpus:
@@ -224,7 +232,7 @@ class TestEmitReport:
 
     def test_json_round_trip(self, tmp_path):
         report = self._report()
-        emit_report(report, tmp_path, formats=("json",))
+        emit_report(report, tmp_path)
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["config"]["threshold"] == 0.05
         assert payload["datasets"][0]["abruptness"] == report.datasets[0].abruptness > 0.0
@@ -240,10 +248,6 @@ class TestEmitReport:
         report = MethodReport(datasets=(), summary=())
         with pytest.raises(InvalidInputError):
             emit_report(report, tmp_path)
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(InvalidInputError):
-            emit_report(self._report(), tmp_path, formats=("xml",))
 
     def test_seventeen_digit_serialization(self, tmp_path):
         report = self._report()

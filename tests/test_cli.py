@@ -88,6 +88,22 @@ class TestReconstructCommand:
                      "--output", str(tmp_path / "r.csv"), "--method", "wavelet"])
         assert code == 1
 
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_overflowing_knots_never_written(self, tmp_path, method):
+        sampled = tmp_path / "s.csv"
+        sampled.write_text(
+            "# source_length=11 threshold=0.05\nindex,value\n0,1e308\n5,-1e308\n10,1e308\n"
+        )
+        recon = tmp_path / "r.csv"
+        with np.errstate(all="ignore"):
+            code = main(["reconstruct", "--input", str(sampled), "--output", str(recon),
+                         "--method", method])
+        if code == 0:
+            assert np.all(np.isfinite(read_value_column(recon)))
+        else:
+            assert code == 1 and not recon.exists()
+        assert code == 1 or method not in ("linear", "zelic", "pchip")
+
     def test_missing_metadata_requires_length(self, tmp_path):
         sampled = tmp_path / "s.csv"
         sampled.write_text("index,value\n0,0.0\n3,0.5\n")
@@ -144,6 +160,14 @@ class TestBenchCommand:
         assert main(["bench", "--experiment", "2", "--data-dir", str(data), "--out", str(out)]) == 0
         ds = json.loads((out / "report.json").read_text())["datasets"][0]
         assert ds["achieved_fraction"] == 0.1
+
+    def test_nan_padded_rows(self, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "Pad_TRAIN.tsv").write_text("1\t0.1\t0.4\t0.2\t0.5\t0.9\n2\t0.3\t0.9\tNaN\tNaN\tNaN\n")
+        out = tmp_path / "rep5"
+        assert main(["bench", "--data-dir", str(data), "--out", str(out)]) == 0
+        assert (out / "Pad_rmse.csv").exists()
 
     def test_missing_data_dir_exits_2(self, tmp_path):
         code = main(["bench", "--data-dir", str(tmp_path / "void"), "--out", str(tmp_path)])

@@ -10,7 +10,6 @@ from lebesgue_interp import (
     ReconstructionParams,
     SampledSeries,
     TimeSeries,
-    ToleratedRegion,
     normalize_unit_interval,
 )
 
@@ -112,18 +111,6 @@ class TestSampledSeries:
         s = SampledSeries(np.array([0, 4]), np.array([0.5, 0.9]), 10, 0.05)
         assert s.points == [(0, 0.5), (4, 0.9)]
         assert s.fraction == 0.2
-
-
-class TestToleratedRegion:
-    def test_bounds(self):
-        r = ToleratedRegion(0.5, 0.05)
-        assert r.lower == pytest.approx(0.45)
-        assert r.upper == pytest.approx(0.55)
-        assert r.contains(0.5) and not r.contains(0.56)
-
-    def test_negative_half_width_rejected(self):
-        with pytest.raises(InvalidInputError):
-            ToleratedRegion(0.0, -1.0)
 
 
 class TestReconstructionParams:

@@ -12,7 +12,6 @@ from lebesgue_interp import (
     lebesgue_sample,
     riemann_sample,
     threshold_candidates,
-    tolerated_region,
     tune_threshold,
 )
 from oracles import trace_send_on_delta
@@ -115,24 +114,6 @@ class TestRiemannSample:
             SampleBudget(0.0)
         with pytest.raises(InvalidInputError):
             SampleBudget(1.2)
-
-
-class TestToleratedRegionOp:
-    def test_substitution(self):
-        r = tolerated_region(0.5, 0.05)
-        assert (r.lower, r.upper) == (0.45, 0.55)
-
-    def test_zero_width(self):
-        r = tolerated_region(0.5, 0.0)
-        assert (r.lower, r.upper) == (0.5, 0.5)
-
-    def test_centered_at_zero(self):
-        r = tolerated_region(0.0, 0.2)
-        assert (r.lower, r.upper) == (-0.2, 0.2)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(InvalidInputError):
-            tolerated_region(0.0, -0.1)
 
 
 class TestTuneThreshold:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lebesgue_interp import (
-    Knot,
     ReconstructionParams,
     TimeSeries,
     abrupt_limit_condition,
@@ -55,13 +54,13 @@ class TestClassifyInterval:
 class TestAbruptLimitCondition:
     def test_chord_exits_band(self):
         # slope 0.02, band/|slope| = 2.5, last interior point 9 > 2.5
-        assert abrupt_limit_condition(Knot(0, 0.0), Knot(10, 0.2), 0.05) is True
+        assert abrupt_limit_condition(0, 0.0, 10, 0.2, 0.05) is True
 
     def test_zero_slope_never_exits(self):
-        assert abrupt_limit_condition(Knot(0, 0.5), Knot(10, 0.5), 0.05) is False
+        assert abrupt_limit_condition(0, 0.5, 10, 0.5, 0.05) is False
 
     def test_adjacent_knots_have_no_interior(self):
-        assert abrupt_limit_condition(Knot(3, 0.0), Knot(4, 0.9), 0.05) is False
+        assert abrupt_limit_condition(3, 0.0, 4, 0.9, 0.05) is False
 
     @given(
         xa=st.integers(0, 40),
@@ -73,7 +72,7 @@ class TestAbruptLimitCondition:
     @settings(max_examples=300, deadline=None)
     def test_equivalent_to_interior_scan(self, xa, width, ya, yb, t):
         xb = xa + width
-        fast = abrupt_limit_condition(Knot(xa, ya), Knot(xb, yb), t)
+        fast = abrupt_limit_condition(xa, ya, xb, yb, t)
         assert fast == chord_exits_band(xa, ya, xb, yb, t)
 
 
