@@ -9,7 +9,9 @@ periodic regime ("L "/"R " method prefixes) on the same budget.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -108,10 +110,10 @@ class ExperimentConfig:
         if self.mode is ExperimentMode.BUDGET:
             SampleBudget(self.target_fraction)  # validate range
 
-    def make_params(self, threshold: float | None = None) -> ReconstructionParams:
+    def make_params(self, threshold: float) -> ReconstructionParams:
         """Reconstruction parameters bound to the sampling threshold in use."""
         return ReconstructionParams(
-            threshold=self.threshold if threshold is None else threshold,
+            threshold=threshold,
             tolerance_ratio=self.tolerance_ratio,
             previous_distance=self.previous_distance,
             subsequent_min_distance=self.subsequent_min_distance,
@@ -119,22 +121,40 @@ class ExperimentConfig:
         )
 
     def echo(self) -> dict[str, object]:
-        return {
-            "mode": self.mode.value,
-            "threshold": self.threshold,
-            "target_fraction": self.target_fraction,
-            "tolerance_ratio": self.tolerance_ratio,
-            "previous_distance": self.previous_distance,
-            "subsequent_min_distance": self.subsequent_min_distance,
-            "subsequent_max_distance": self.subsequent_max_distance,
-            "methods": list(self.methods),
-            "seed": self.seed,
-        }
+        """Every field in declaration order, as report.json records it."""
+        echo = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return echo | {"mode": self.mode.value, "methods": list(self.methods)}
 
 
 # ---------------------------------------------------------------------------
 # dataset ingestion
 # ---------------------------------------------------------------------------
+
+
+def parse_finite_fields(
+    fields: Sequence[str], path: Path, row: int, first_column: int = 0
+) -> list[float]:
+    """One row's text fields as finite floats.
+
+    A field that does not parse, or parses to NaN or inf, raises ParseError
+    naming the file, the row and the column (counted from ``first_column``).
+    """
+    try:
+        values = [float(f) for f in fields]
+    except ValueError:
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        for c, f in enumerate(fields, first_column):
+            try:
+                x = float(f)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: cannot parse {f!r} at row {row}, column {c}", row=row, column=c
+                ) from None
+            if not math.isfinite(x):
+                msg = f"{path}: non-finite value {f!r} at row {row}, column {c}"
+                raise ParseError(msg, row=row, column=c)
+    return values
 
 
 def _parse_rows(path: Path) -> list[np.ndarray]:
@@ -151,25 +171,10 @@ def _parse_rows(path: Path) -> list[np.ndarray]:
             fields = fields[1:]
             while fields and fields[-1].strip().lower() == "nan":
                 fields.pop()
-            try:
-                values = np.asarray([float(f) for f in fields], dtype=np.float64)
-            except ValueError:
-                for c, f in enumerate(fields):
-                    try:
-                        float(f)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: cannot parse {f!r} at row {r}, column {c}", row=r, column=c
-                        ) from None
-                raise
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                c = int(bad[0])
-                msg = f"{path}: non-finite value {fields[c]!r} at row {r}, column {c}"
-                raise ParseError(msg, row=r, column=c)
-            if not values.size:
+            values = parse_finite_fields(fields, path, r)
+            if not values:
                 raise ParseError(f"{path}: row {r} has no values", row=r)
-            rows.append(values)
+            rows.append(np.asarray(values, dtype=np.float64))
     return rows
 
 
@@ -199,11 +204,7 @@ def load_ucr_dataset(
                 stem = stem[: -len(suffix)]
                 break
         name = stem
-    return DatasetBundle(
-        name=name,
-        signals=tuple(TimeSeries(r) for r in rows),
-        provenance=f"{train_path}" + (f" + {test_path}" if test_path else "") + " (tsv)",
-    )
+    return DatasetBundle(name=name, signals=tuple(TimeSeries(r) for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -311,23 +312,14 @@ def generate_synthetic_corpus(
         gen = _FAMILIES[family]
         for _ in range(count):
             signals.append(normalize_unit_interval(TimeSeries(gen(rng, length))))
-    spec_str = ",".join(f"{fam}={cnt}" for fam, cnt in counts.items())
-    return DatasetBundle(
-        name=name,
-        signals=tuple(signals),
-        provenance=f"synthetic(seed={seed},length={length},{spec_str})",
-    )
+    return DatasetBundle(name=name, signals=tuple(signals))
 
 
 def merge_bundles(name: str, bundles: Sequence[DatasetBundle]) -> DatasetBundle:
     """Concatenate bundles into one, signals in bundle order."""
     if not bundles:
         raise InvalidInputError("no bundles to merge")
-    return DatasetBundle(
-        name=name,
-        signals=tuple(s for b in bundles for s in b.signals),
-        provenance="; ".join(b.provenance for b in bundles),
-    )
+    return DatasetBundle(name=name, signals=tuple(s for b in bundles for s in b.signals))
 
 
 # ---------------------------------------------------------------------------
@@ -376,27 +368,22 @@ def run_experiment(bundle: DatasetBundle, config: ExperimentConfig) -> MethodRep
     )
 
     if config.mode is ExperimentMode.FIXED_THRESHOLD:
-        params = config.make_params()
-        sampled = [lebesgue_sample(ts, config.threshold) for ts in normalized]
-        scores = _score_sampled(normalized, sampled, params, config.methods, prefix="")
-        achieved = float(np.mean([s.fraction for s in sampled]))
-        result = DatasetResult(
-            dataset=bundle.name,
-            scores=tuple(rank_methods(scores)),
-            threshold=config.threshold,
-            achieved_fraction=achieved,
-            abruptness=mean_abruptness,
-        )
-        return aggregate_report([result], config=config.echo())
-
-    budget = SampleBudget(config.target_fraction)
-    norm_bundle = DatasetBundle(bundle.name, tuple(normalized), bundle.provenance)
-    threshold, achieved = tune_threshold(norm_bundle, budget)
+        threshold = config.threshold
+        regimes = {"": [lebesgue_sample(ts, threshold) for ts in normalized]}
+        achieved = float(np.mean([s.fraction for s in regimes[""]]))
+    else:
+        budget = SampleBudget(config.target_fraction)
+        threshold, achieved = tune_threshold(DatasetBundle(bundle.name, tuple(normalized)), budget)
+        regimes = {
+            "L ": [lebesgue_sample(ts, threshold) for ts in normalized],
+            "R ": [riemann_sample(ts, budget) for ts in normalized],
+        }
     params = config.make_params(threshold)
-    leb = [lebesgue_sample(ts, threshold) for ts in normalized]
-    rie = [riemann_sample(ts, budget) for ts in normalized]
-    scores = _score_sampled(normalized, leb, params, config.methods, prefix="L ")
-    scores += _score_sampled(normalized, rie, params, config.methods, prefix="R ")
+    scores = [
+        score
+        for prefix, sampled in regimes.items()
+        for score in _score_sampled(normalized, sampled, params, config.methods, prefix)
+    ]
     result = DatasetResult(
         dataset=bundle.name,
         scores=tuple(rank_methods(scores)),

@@ -19,6 +19,7 @@ from .bench import (
     emit_report,
     generate_synthetic_corpus,
     load_ucr_dataset,
+    parse_finite_fields,
     run_benchmark,
 )
 from .core import ReconstructionParams, SampledSeries, TimeSeries
@@ -48,15 +49,8 @@ def _read_signal(path: Path) -> TimeSeries:
     with path.open() as fh:
         for r, line in enumerate(fh):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            for c, field in enumerate(line.replace(",", " ").split()):
-                try:
-                    values.append(float(field))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: cannot parse {field!r} at row {r}, column {c}", row=r, column=c
-                    ) from None
+            if line and not line.startswith("#"):
+                values += parse_finite_fields(line.replace(",", " ").split(), path, r)
     if not values:
         raise InvalidInputError(f"{path} contains no values")
     return TimeSeries(np.asarray(values))
@@ -95,9 +89,9 @@ def _read_sampled(path: Path, length: int | None, threshold: float | None) -> Sa
                 raise ParseError(f"{path}: expected 'index,value' at row {r}", row=r)
             try:
                 idx.append(int(parts[0]))
-                vals.append(float(parts[1]))
             except ValueError:
                 raise ParseError(f"{path}: cannot parse row {r}: {line!r}", row=r) from None
+            vals += parse_finite_fields(parts[1:], path, r, first_column=1)
     if length is None:
         if "source_length" not in meta:
             raise InvalidInputError(f"{path} has no source_length metadata; pass --length")
@@ -127,7 +121,8 @@ def _cmd_reconstruct(args) -> int:
         subsequent_min_distance=args.min_dist,
         subsequent_max_distance=args.max_dist,
     )
-    rec = METHODS[args.method](s, params)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rec = METHODS[args.method](s, params)
     bad = np.flatnonzero(~np.isfinite(rec.values))
     if bad.size:  # differences between huge knot values overflow float64
         raise InvalidInputError(f"{args.method} output is not finite at index {int(bad[0])}")

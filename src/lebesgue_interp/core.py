@@ -154,11 +154,10 @@ class ReconstructionParams:
 
 @dataclass(frozen=True, eq=False)
 class DatasetBundle:
-    """A named collection of signals with provenance metadata."""
+    """A named collection of signals."""
 
     name: str
     signals: tuple[TimeSeries, ...]
-    provenance: str = ""
 
     def __post_init__(self):
         signals = tuple(self.signals)

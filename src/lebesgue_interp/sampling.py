@@ -94,12 +94,15 @@ def threshold_candidates(bundle: DatasetBundle) -> np.ndarray:
     one), so this grid covers every point where the achieved fraction can
     change. Differences between *adjacent* points alone would miss
     breakpoints (e.g. a pure ramp fires on cumulative, not step, distance).
+
+    Each signal's sorted unique values ``u`` give every unordered pair once
+    as a lag difference ``u[k:] - u[:-k]``, always positive: rounding is
+    symmetric, so ``a - b`` and ``|b - a|`` are the same float.
     """
     parts = [np.zeros(1)]
     for ts in bundle.signals:
         u = np.unique(ts.values)
-        d = np.abs(u[:, None] - u[None, :]).ravel()
-        parts.append(d[d > 0.0])
+        parts.extend(u[k:] - u[:-k] for k in range(1, u.size))
     return np.unique(np.concatenate(parts))
 
 
@@ -114,13 +117,12 @@ def _bundle_fraction(bundle: DatasetBundle, threshold: float) -> float:
 def tune_threshold(bundle: DatasetBundle, budget: SampleBudget) -> tuple[float, float]:
     """Find the threshold that spends the budget without exceeding it.
 
-    Searches the finite candidate grid by binary search for the smallest
-    threshold whose mean retained fraction is <= the target, then walks left
-    while the next-smaller candidate is also feasible. The walk matters
-    because the retained count is not globally monotone in the threshold
-    (a larger threshold can delay a capture and set up extra later ones),
-    so bisection alone can land past a locally feasible candidate. The
-    result is feasible and its immediate predecessor on the grid is not.
+    Bisects the candidate grid, keeping the fraction at ``hi`` within the
+    target and the fraction just below ``lo`` above it, so the result is
+    feasible and its immediate predecessor on the grid is not. The retained
+    count is not globally monotone in the threshold (a larger threshold can
+    delay a capture and set up extra later ones), so this is one such
+    boundary, not necessarily the smallest feasible candidate.
 
     When even the largest candidate keeps too many points, the next float
     above it is tried: it exceeds every difference, so nothing fires after
@@ -131,16 +133,10 @@ def tune_threshold(bundle: DatasetBundle, budget: SampleBudget) -> tuple[float, 
     """
     target = budget.target_fraction
     cands = threshold_candidates(bundle)
-    cache: dict[int, float] = {}
-
-    def frac(i: int) -> float:
-        if i not in cache:
-            cache[i] = _bundle_fraction(bundle, float(cands[i]))
-        return cache[i]
-
-    last = len(cands) - 1
-    if frac(last) > target:
-        above = float(np.nextafter(cands[last], np.inf))
+    lo, hi = 0, len(cands) - 1
+    hi_frac = _bundle_fraction(bundle, float(cands[hi]))
+    if hi_frac > target:
+        above = float(np.nextafter(cands[hi], np.inf))
         least = _bundle_fraction(bundle, above)
         if least > target:
             raise InfeasibleBudgetError(
@@ -148,13 +144,11 @@ def tune_threshold(bundle: DatasetBundle, budget: SampleBudget) -> tuple[float, 
                 min_achievable_fraction=least,
             )
         return above, least
-    lo, hi = 0, last
     while lo < hi:
         mid = (lo + hi) // 2
-        if frac(mid) <= target:
-            hi = mid
+        mid_frac = _bundle_fraction(bundle, float(cands[mid]))
+        if mid_frac <= target:
+            hi, hi_frac = mid, mid_frac
         else:
             lo = mid + 1
-    while lo > 0 and frac(lo - 1) <= target:
-        lo -= 1
-    return float(cands[lo]), frac(lo)
+    return float(cands[hi]), hi_frac

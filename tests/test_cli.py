@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lebesgue_interp import ReconstructionParams, TimeSeries, lebesgue_sample, verify
 from lebesgue_interp.bench import METHODS
@@ -48,6 +52,13 @@ class TestSampleCommand:
                      "--output", str(tmp_path / "o.csv")])
         assert code == 2
 
+    def test_nan_in_signal_names_file_and_row(self, tmp_path, capsys):
+        path = tmp_path / "gappy.txt"
+        path.write_text("0.1\n0.2\nnan\n0.4\n")
+        code = main(["sample", "--input", str(path), "--output", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert f"error: {path}: non-finite value 'nan' at row 2, column 0" in capsys.readouterr().err
+
     def test_riemann_regime(self, tmp_path, signal_file):
         path, walk = signal_file
         out = tmp_path / "sampled.csv"
@@ -88,6 +99,15 @@ class TestReconstructCommand:
                      "--output", str(tmp_path / "r.csv"), "--method", "wavelet"])
         assert code == 1
 
+    def test_inf_in_sampled_names_file_and_row(self, tmp_path, capsys):
+        sampled = tmp_path / "s.csv"
+        sampled.write_text("# source_length=5 threshold=0.05\nindex,value\n0,0.0\n2,inf\n")
+        code = main(["reconstruct", "--input", str(sampled),
+                     "--output", str(tmp_path / "r.csv"), "--method", "linear"])
+        assert code == 1
+        assert f"error: {sampled}: non-finite value 'inf' at row 3, column 1" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_overflowing_knots_never_written(self, tmp_path, method):
         sampled = tmp_path / "s.csv"
@@ -95,14 +115,33 @@ class TestReconstructCommand:
             "# source_length=11 threshold=0.05\nindex,value\n0,1e308\n5,-1e308\n10,1e308\n"
         )
         recon = tmp_path / "r.csv"
-        with np.errstate(all="ignore"):
-            code = main(["reconstruct", "--input", str(sampled), "--output", str(recon),
-                         "--method", method])
+        code = main(["reconstruct", "--input", str(sampled), "--output", str(recon),
+                     "--method", method])
         if code == 0:
             assert np.all(np.isfinite(read_value_column(recon)))
         else:
             assert code == 1 and not recon.exists()
         assert code == 1 or method not in ("linear", "zelic", "pchip")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "method, text",
+        [
+            ("linear", "# source_length=4 threshold=0.05\n0,1e308\n1,-1e308\n2,1e308\n3,0\n"),
+            ("pchip", "# source_length=3 threshold=0\n0,5e-324\n1,0.0\n2,5e-324\n"),
+        ],
+        ids=["linear-huge", "pchip-subnormal"],
+    )
+    def test_extreme_knots_reconstruct_silently(self, tmp_path, capsys, method, text):
+        # the kernels overflow in intermediate terms that the result never uses
+        sampled = tmp_path / "s.csv"
+        sampled.write_text(text)
+        recon = tmp_path / "r.csv"
+        assert main(["reconstruct", "--input", str(sampled), "--output", str(recon),
+                     "--method", method]) == 0
+        assert capsys.readouterr().err == ""
+        knots = [float(row.split(",")[1]) for row in text.splitlines()[1:]]
+        assert read_value_column(recon) == knots
 
     def test_missing_metadata_requires_length(self, tmp_path):
         sampled = tmp_path / "s.csv"
@@ -177,6 +216,95 @@ class TestBenchCommand:
         code = main(["bench", "--experiment", "2", "--budget", "1.5",
                      "--synthetic", "walk=2", "--out", str(tmp_path / "x")])
         assert code == 1
+
+
+_EXTREMES = ("1e308", "-1e308", "1.7976931348623157e308", "5e-324", "-5e-324", "0", "-0.0")
+_BAD = ("nan", "inf", "-inf", "abc")
+_TOKEN = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(_EXTREMES),
+)
+_LINE = st.one_of(
+    st.sampled_from(["", "   ", "# comment"]),
+    _TOKEN,
+    st.lists(_TOKEN, min_size=2, max_size=4).map(",".join),
+    st.tuples(_TOKEN, st.integers(2, 6)).map(lambda run: "\n".join([run[0]] * run[1])),
+)
+
+
+@st.composite
+def signal_texts(draw):
+    """Signal file text; about one file in four carries an unparsable or
+    non-finite token."""
+    lines = draw(st.lists(_LINE, max_size=10))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BAD)))
+    return "\n".join(lines) + "\n"
+
+
+def _expected_signal(text):
+    """The values a signal file holds, or None when it must be rejected."""
+    values = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            for field in line.replace(",", " ").split():
+                try:
+                    values.append(float(field))
+                except ValueError:
+                    return None
+    ok = values and all(math.isfinite(v) for v in values)
+    return values if ok else None
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestCliFuzz:
+    @pytest.mark.filterwarnings("error")
+    @given(
+        text=signal_texts(),
+        threshold=st.sampled_from([0.0, 0.05, 1.0, 1e308]),
+        fraction=st.floats(0.01, 1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sample_then_reconstruct(self, tmp_path_factory, text, threshold, fraction):
+        work = tmp_path_factory.mktemp("fuzz")
+        signal = work / "signal.txt"
+        signal.write_text(text)
+        want = _expected_signal(text)
+        regimes = {"lebesgue": ["--threshold", repr(threshold)],
+                   "riemann": ["--fraction", repr(fraction)]}
+        for regime, knob in regimes.items():
+            sampled = work / f"{regime}.csv"
+            code, err = _run(["sample", "--input", str(signal), "--output", str(sampled),
+                              "--regime", regime, *knob])
+            if want is None:
+                assert code == 1 and err.startswith("error: ") and str(signal) in err
+                continue
+            assert code == 0, err
+            with sampled.open(newline="") as fh:
+                rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")][1:]
+            idx = [int(i) for i, _ in rows]
+            knots = [float(v) for _, v in rows]
+            assert knots == [want[i] for i in idx]
+            for method in sorted(METHODS):
+                recon = work / "recon.csv"
+                recon.unlink(missing_ok=True)
+                code, err = _run(["reconstruct", "--input", str(sampled), "--output", str(recon),
+                                  "--method", method])
+                if code == 1:
+                    assert err.startswith("error: ") and not recon.exists()
+                    continue
+                assert code == 0, err
+                got = read_value_column(recon)
+                assert len(got) == len(want)
+                assert all(math.isfinite(v) for v in got)
+                assert [got[i] for i in idx] == knots, method
 
 
 CHECKS = (

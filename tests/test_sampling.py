@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -76,7 +79,8 @@ class TestLebesgueSample:
     def test_count_not_globally_monotone_in_threshold(self):
         # raising the threshold can delay a capture and leave the reference
         # lagging, setting up *more* captures later; this fixture pins the
-        # behavior that motivates the feasibility walk in tune_threshold
+        # behavior that makes tune_threshold's result one feasible boundary
+        # rather than the smallest feasible threshold
         ts = TimeSeries([0.0, 0.4, 0.6, 0.1, 0.6])
         assert len(lebesgue_sample(ts, 0.4)) == 2
         assert len(lebesgue_sample(ts, 0.5)) == 4
@@ -169,11 +173,31 @@ class TestTuneThreshold:
         assert tune_threshold(bundle, SampleBudget(0.5)) == want
 
     def test_candidate_grid_covers_pairwise_differences(self, ts):
-        bundle = DatasetBundle("b", (ts([0.0, 0.1, 0.3]),))
-        cands = threshold_candidates(bundle).tolist()
-        for d in (0.1, 0.3 - 0.1, 0.3):
-            assert any(abs(c - d) < 1e-15 for c in cands)
-        assert cands[0] == 0.0
+        fixtures = [
+            [[0.0, 0.1, 0.3]],
+            [[0.3, 0.1, 0.3, 0.0, 0.1], [0.2, 0.2]],  # duplicates
+            [[-1.5, 2.0, -0.25, 2.0, 0.7], [-3.0, -1.5]],  # negative values
+            [[5e-324, 0.0, -5e-324, 1e-300, 1.0, -1e300, 1e300, 1.0]],  # magnitudes
+            [[0.4] * 6],  # constant
+        ]
+        for signals in fixtures:
+            bundle = DatasetBundle("b", tuple(ts(v) for v in signals))
+            naive = {0.0} | {
+                abs(a - b) for v in signals for a, b in itertools.combinations(v, 2) if a != b
+            }
+            np.testing.assert_array_equal(threshold_candidates(bundle), sorted(naive))
+
+    def test_candidate_grid_peak_memory(self):
+        # the grid is quadratic in series length; building it may cost a few
+        # times its own size, never a square matrix per signal on top
+        bundle = generate_synthetic_corpus(3, {"walk": 4}, 400)
+        tracemalloc.start()
+        try:
+            grid = threshold_candidates(bundle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * grid.nbytes
 
     @given(
         seed=st.integers(0, 5000),
