@@ -1,95 +1,100 @@
 """The interpolation kernels and the four baseline reconstructors.
 
-A kernel turns knots (strictly increasing integer indices from 0, plus
-their values) into a signal on the grid 0..n-1. Every kernel reproduces
-the knots exactly and holds the last knot value to the end of the domain
-(under send-on-delta sampling the un-fired tail provably stays in the last
-tolerated band, so holding minimizes the worst case). The baselines run a
-kernel over the kept points; ``zelic`` runs the chord and cubic kernels
-over its knot plans.
+The kernels run over a block: signals laid end to end on one grid of n
+points, given as knot indices on that grid (each signal starts with a knot
+at its offset), knot values, and a mask of each signal's first knot. A
+kernel maps (x, y, first, j), j[g] being the last knot at or before grid
+point g, to values that reproduce the knots; ``reconstruct_block`` then
+holds each signal's last knot value to its end (under send-on-delta sampling
+the un-fired tail provably stays in the last tolerated band, so holding
+minimizes the worst case). A baseline is a kernel over one signal's kept
+points; ``zelic`` adds knot plans.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .core import Reconstruction, SampledSeries
-from .errors import InvalidInputError
 
 __all__ = [
     "interp_zoh",
     "interp_linear",
     "interp_nearest",
     "interp_pchip",
-    "chord_kernel",
-    "cubic_kernel",
     "fritsch_carlson_slopes",
     "hermite_fill",
 ]
 
 
-def _segments(x: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The grid lo..hi-1 and, per grid point g, the j with x[j] <= g < x[j+1]
-    (the last knot for g past it)."""
-    g = np.arange(lo, hi)
-    return g, np.searchsorted(x, g, side="right") - 1
+def hold_kernel(x, y, first, j):
+    """Hold each knot value until the next knot."""
+    return y[j]
 
 
-def chord_kernel(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+def nearest_kernel(x, y, first, j):
+    """The nearest knot's value; ties go to the earlier knot."""
+    nxt = np.minimum(j + 1, x.size - 1)
+    # g <= floor(midpoint) is nearer to (or tied with) the earlier knot
+    return y[np.where(np.arange(j.size) > (x[j] + x[nxt]) // 2, nxt, j)]
+
+
+def chord_kernel(x, y, first, j):
     """Straight lines between consecutive knots."""
-    out = np.empty(n, dtype=np.float64)
-    end = int(x[-1])
-    g, j = _segments(x, 0, end)
-    out[:end] = y[j] + np.diff(y)[j] * ((g - x[j]) / np.diff(x)[j])
+    t = (np.arange(j.size) - x[j]) / np.diff(x, append=j.size)[j]
+    out = y[j] + np.diff(y, append=y[-1])[j] * t
     out[x] = y
-    out[end:] = y[-1]
     return out
 
 
-def cubic_kernel(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """Shape-preserving piecewise cubic; one knot degenerates to a hold."""
-    out = np.empty(n, dtype=np.float64)
-    if x.size > 1:
-        hermite_fill(out, x, y, fritsch_carlson_slopes(x.astype(np.float64), y))
-    out[int(x[-1]) :] = y[-1]
-    return out
+def cubic_kernel(x, y, first, j):
+    """Shape-preserving piecewise cubic; a signal with one knot is held.
+
+    The cubic is evaluated with the signals' knot spans laid end to end
+    (each tail, which is held anyway, shifted out), then mapped back.
+    """
+    out = np.empty(j.size, dtype=np.float64)
+    shift = np.cumsum(np.where(first, np.diff(x, prepend=x[0] - 1) - 1, 0))
+    hermite_fill(out, x - shift, y, fritsch_carlson_slopes(x, y, first))
+    return out[np.arange(j.size) - shift[j]]
 
 
-def fritsch_carlson_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def fritsch_carlson_slopes(x: np.ndarray, y: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Monotonicity-preserving knot slopes for cubic Hermite interpolation.
 
     Interior knots get the weighted harmonic mean of the two adjacent
     secants and 0 where the secants change sign or vanish; the endpoints
     use the one-sided three-point estimate clamped so the first segment
-    cannot overshoot.
+    cannot overshoot. Two knots get their secant, a lone knot 0. ``first``
+    marks each signal's first knot in a block.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = x.size
-    if n < 2:
-        raise InvalidInputError("slopes need at least two knots")
+    last = np.append(first[1:], True)
     h = np.diff(x)
     d = np.diff(y) / h
-    if n == 2:
-        return np.array([d[0], d[0]])
-    m = np.zeros(n, dtype=np.float64)
+    m = np.zeros(x.size, dtype=np.float64)
     d0, d1 = d[:-1], d[1:]
     w1 = 2.0 * h[1:] + h[:-1]
     w2 = h[1:] + 2.0 * h[:-1]
     same_sign = (d0 != 0.0) & (d1 != 0.0) & ((d0 > 0.0) == (d1 > 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         m[1:-1] = np.where(same_sign, (w1 + w2) / (w1 / d0 + w2 / d1), 0.0)
-
-    def edge(h0: float, h1: float, d0: float, d1: float) -> float:
-        s = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
-        if np.sign(s) != np.sign(d0):
-            return 0.0
-        if np.sign(d0) != np.sign(d1) and abs(s) > 3.0 * abs(d0):
-            return 3.0 * d0
-        return s
-
-    m[0] = edge(h[0], h[1], d[0], d[1])
-    m[-1] = edge(h[-1], h[-2], d[-1], d[-2])
+    # both ends of every signal of three or more knots, from the near and far gap
+    starts = np.flatnonzero(first[:-2] & ~last[:-2] & ~last[1:-1])
+    ends = np.flatnonzero(last[2:] & ~first[2:] & ~first[1:-1]) + 2
+    near, far = np.concatenate([starts, ends - 1]), np.concatenate([starts + 1, ends - 2])
+    h0, h1, d0, d1 = h[near], h[far], d[near], d[far]
+    s = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
+    clamp = (np.sign(d0) != np.sign(d1)) & (np.abs(s) > 3.0 * np.abs(d0))
+    m[np.concatenate([starts, ends])] = np.where(
+        np.sign(s) != np.sign(d0), 0.0, np.where(clamp, 3.0 * d0, s)
+    )
+    two = np.flatnonzero(first[:-1] & ~last[:-1] & last[1:])
+    m[two] = m[two + 1] = d[two]
+    m[first & last] = 0.0
     return m
 
 
@@ -100,9 +105,10 @@ def hermite_fill(out: np.ndarray, x: np.ndarray, y: np.ndarray, m: np.ndarray) -
     """
     x = np.asarray(x, dtype=np.int64)
     lo, hi = int(x[0]), int(x[-1])
-    g, j = _segments(x, lo, hi)
-    h = np.diff(x).astype(np.float64)[j]
-    t = (g - x[j]) / h
+    dx = np.diff(x)
+    j = np.repeat(np.arange(dx.size), dx)
+    h = dx.astype(np.float64)[j]
+    t = (np.arange(lo, hi) - x[j]) / h
     tm2 = (1.0 - t) ** 2
     h00 = (1.0 + 2.0 * t) * tm2
     h10 = t * tm2
@@ -112,25 +118,56 @@ def hermite_fill(out: np.ndarray, x: np.ndarray, y: np.ndarray, m: np.ndarray) -
     out[x] = y
 
 
+def reconstruct_block(plan, kernel, x, y, first, n: int, params=None) -> np.ndarray:
+    """A block's n grid values: ``kernel`` over the knots ``plan`` makes,
+    (x, y, first, params) -> (x, y, first), or over the kept points alone,
+    then each signal's last knot value held to its end.
+
+    Where knot differences overflow and the output is not finite, the block
+    runs again with values and threshold scaled by 2**-e, 2**e > 16 n, so
+    no term (at most a few grid lengths times a knot difference) overflows,
+    and is scaled back. Power-of-two scaling commutes with rounding outside
+    the subnormal range, so this gives what an unbounded float range would.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for scale in (1.0, 2.0 ** -(int(n).bit_length() + 4)):
+            kx, ky, kfirst = x, y * scale, first
+            if plan is not None:
+                scaled = replace(params, threshold=params.threshold * scale)
+                kx, ky, kfirst = plan(kx, ky, kfirst, scaled)
+            j = np.repeat(np.arange(kx.size), np.diff(kx, append=n))
+            out = kernel(kx, ky, kfirst, j)
+            tail = np.append(kfirst[1:], True)[j]
+            out[tail] = ky[j[tail]]
+            if np.isfinite(out).all():
+                break
+        if scale != 1.0:
+            out /= scale
+            out[x] = y
+    return out
+
+
+def reconstruct_signal(plan, kernel, s: SampledSeries, params=None) -> np.ndarray:
+    """One sampled signal, reconstructed as a block of one."""
+    first = np.arange(len(s)) == 0
+    return reconstruct_block(plan, kernel, s.indices, s.values, first, s.source_length, params)
+
+
 def interp_zoh(s: SampledSeries) -> Reconstruction:
     """Hold each knot value until the next knot; jump there."""
-    return Reconstruction(s.values[_segments(s.indices, 0, s.source_length)[1]], "zoh")
+    return Reconstruction(reconstruct_signal(None, hold_kernel, s), "zoh")
 
 
 def interp_linear(s: SampledSeries) -> Reconstruction:
     """Straight lines between consecutive knots; constant after the last."""
-    return Reconstruction(chord_kernel(s.indices, s.values, s.source_length), "linear")
+    return Reconstruction(reconstruct_signal(None, chord_kernel, s), "linear")
 
 
 def interp_nearest(s: SampledSeries) -> Reconstruction:
     """Each index copies the nearest knot's value; ties go to the earlier knot."""
-    x, y = s.indices, s.values
-    g, j = _segments(x, 0, s.source_length)
-    nxt = np.minimum(j + 1, x.size - 1)
-    # g <= floor(midpoint) is nearer to (or tied with) the earlier knot
-    return Reconstruction(y[np.where(g > (x[j] + x[nxt]) // 2, nxt, j)], "nearest")
+    return Reconstruction(reconstruct_signal(None, nearest_kernel, s), "nearest")
 
 
 def interp_pchip(s: SampledSeries) -> Reconstruction:
     """Shape-preserving piecewise cubic through the knots (two knots: a line)."""
-    return Reconstruction(cubic_kernel(s.indices, s.values, s.source_length), "pchip")
+    return Reconstruction(reconstruct_signal(None, cubic_kernel, s), "pchip")

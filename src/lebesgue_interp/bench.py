@@ -20,10 +20,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .baselines import interp_linear, interp_nearest, interp_pchip, interp_zoh
+from .baselines import chord_kernel, cubic_kernel, hold_kernel, nearest_kernel, reconstruct_block
 from .core import (
     DatasetBundle,
-    Reconstruction,
     ReconstructionParams,
     SampledSeries,
     TimeSeries,
@@ -37,14 +36,13 @@ from .metrics import (
     abruptness,
     aggregate_report,
     rank_methods,
-    rmse,
+    rmse_per_signal,
 )
 from .sampling import SampleBudget, lebesgue_sample, riemann_sample, tune_threshold
-from .zelic import reconstruct_zechip, reconstruct_zechipc, reconstruct_zeli, reconstruct_zelic
+from .zelic import ANCHORS, TURNS
 
 __all__ = [
     "METHODS",
-    "METHOD_LABELS",
     "DatasetBundle",
     "ExperimentMode",
     "ExperimentConfig",
@@ -56,29 +54,22 @@ __all__ = [
     "emit_report",
 ]
 
-# Reconstructor registry; baselines ignore the params argument.
-METHODS: dict[str, Callable[[SampledSeries, ReconstructionParams], Reconstruction]] = {
-    "zoh": lambda s, p: interp_zoh(s),
-    "linear": lambda s, p: interp_linear(s),
-    "nearest": lambda s, p: interp_nearest(s),
-    "pchip": lambda s, p: interp_pchip(s),
-    "zeli": reconstruct_zeli,
-    "zelic": reconstruct_zelic,
-    "zechip": reconstruct_zechip,
-    "zechipc": reconstruct_zechipc,
+# name -> (report label, knot plan, kernel): no plan, hold anchors, or
+# anchors plus turn knots, joined by a hold, nearest, chord or cubic kernel
+METHODS: dict[str, tuple[str, Callable | None, Callable]] = {
+    "zoh": ("Zero", None, hold_kernel),
+    "linear": ("Linear", None, chord_kernel),
+    "nearest": ("Nearest", None, nearest_kernel),
+    "pchip": ("PCHIP", None, cubic_kernel),
+    "zeli": ("ZeLi", ANCHORS, chord_kernel),
+    "zelic": ("ZeLiC", TURNS, chord_kernel),
+    "zechip": ("ZeChip", ANCHORS, cubic_kernel),
+    "zechipc": ("ZeChipC", TURNS, cubic_kernel),
 }
 
-# Display names used in reports.
-METHOD_LABELS = {
-    "zoh": "Zero",
-    "linear": "Linear",
-    "nearest": "Nearest",
-    "pchip": "PCHIP",
-    "zeli": "ZeLi",
-    "zelic": "ZeLiC",
-    "zechip": "ZeChip",
-    "zechipc": "ZeChipC",
-}
+# Grid points per block of signals that the scorer reconstructs at once; a
+# longer signal is a block by itself. Kernel temporaries scale with a block.
+BLOCK_POINTS = 3072
 
 
 class ExperimentMode(Enum):
@@ -327,6 +318,17 @@ def merge_bundles(name: str, bundles: Sequence[DatasetBundle]) -> DatasetBundle:
 # ---------------------------------------------------------------------------
 
 
+def _blocks(lengths: Sequence[int]):
+    """[lo, hi) runs of consecutive signals with at most BLOCK_POINTS points in all."""
+    lo = total = 0
+    for i, n in enumerate(lengths):
+        if total + n > BLOCK_POINTS and i > lo:
+            yield lo, i
+            lo, total = i, 0
+        total += n
+    yield lo, len(lengths)
+
+
 def _score_sampled(
     signals: Sequence[TimeSeries],
     sampled: Sequence[SampledSeries],
@@ -334,22 +336,29 @@ def _score_sampled(
     methods: Sequence[str],
     prefix: str,
 ) -> list[MethodScore]:
-    table = []
-    for i, (ts, s) in enumerate(zip(signals, sampled)):
-        row = []
+    """Each method's per-signal RMSE, one kernel call per method and block;
+    every signal must reproduce its kept points exactly."""
+    table: dict[str, list[float]] = {m: [] for m in methods}
+    for lo, hi in _blocks([s.source_length for s in sampled]):
+        block = sampled[lo:hi]
+        bounds = np.cumsum([0] + [s.source_length for s in block])
+        knots = np.cumsum([0] + [len(s) for s in block])
+        x = np.concatenate([s.indices + b for s, b in zip(block, bounds)])
+        y = np.concatenate([s.values for s in block])
+        first = np.zeros(x.size, dtype=bool)
+        first[knots[:-1]] = True
+        v = np.concatenate([ts.values for ts in signals[lo:hi]])
         for m in methods:
-            rec = METHODS[m](s, params)
-            if not np.array_equal(rec.values[s.indices], s.values):
+            _, plan, kernel = METHODS[m]
+            out = reconstruct_block(plan, kernel, x, y, first, int(bounds[-1]), params)
+            off = np.flatnonzero(out[x] != y)
+            if off.size:
+                i = lo + int(np.searchsorted(knots, off[0], side="right")) - 1
                 raise AssertionError(
                     f"method {m!r} failed the interpolation condition on signal {i}"
                 )
-            row.append(rmse(ts, rec))
-        table.append(row)
-    scores = []
-    for j, m in enumerate(methods):
-        label = prefix + METHOD_LABELS[m]
-        scores.append(MethodScore.from_rmse(label, [row[j] for row in table]))
-    return scores
+            table[m] += rmse_per_signal(v, out, bounds)
+    return [MethodScore.from_rmse(prefix + METHODS[m][0], table[m]) for m in methods]
 
 
 def run_experiment(bundle: DatasetBundle, config: ExperimentConfig) -> MethodReport:

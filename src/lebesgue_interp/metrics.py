@@ -29,7 +29,17 @@ def rmse(original: TimeSeries, reconstructed: Reconstruction) -> float:
     b = reconstructed.values
     if a.size != b.size:
         raise ShapeError(f"length mismatch: original {a.size} vs reconstruction {b.size}")
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    return rmse_per_signal(a, b, (0, a.size))[0]
+
+
+def rmse_per_signal(
+    original: np.ndarray, reconstructed: np.ndarray, bounds: Sequence[int]
+) -> list[float]:
+    """The RMSE of each signal of a block, signal i being [bounds[i], bounds[i + 1])."""
+    sq = (original - reconstructed) ** 2
+    # np.mean of each slice, spelled as the sum and division it performs
+    means = [np.add.reduce(sq[a:b]) / (b - a) for a, b in zip(bounds[:-1], bounds[1:])]
+    return np.sqrt(means).tolist()
 
 
 def abruptness(series: TimeSeries) -> float:

@@ -7,9 +7,32 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from lebesgue_interp import SampledSeries, TimeSeries
+from lebesgue_interp import (
+    SampledSeries,
+    TimeSeries,
+    interp_linear,
+    interp_nearest,
+    interp_pchip,
+    interp_zoh,
+    reconstruct_zechip,
+    reconstruct_zechipc,
+    reconstruct_zeli,
+    reconstruct_zelic,
+)
 
 UCR_ENV = "LEBESGUE_INTERP_UCR_DIR"
+
+# the public per-signal reconstructor of each method, as (sampled, params) -> Reconstruction
+PER_SIGNAL = {
+    "zoh": lambda s, p: interp_zoh(s),
+    "linear": lambda s, p: interp_linear(s),
+    "nearest": lambda s, p: interp_nearest(s),
+    "pchip": lambda s, p: interp_pchip(s),
+    "zeli": reconstruct_zeli,
+    "zelic": reconstruct_zelic,
+    "zechip": reconstruct_zechip,
+    "zechipc": reconstruct_zechipc,
+}
 
 
 def make_sampled(indices, values, source_length, threshold=0.05):

@@ -1,9 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lebesgue_interp import interp_linear, interp_nearest, interp_pchip, interp_zoh
+from lebesgue_interp import (
+    ReconstructionParams,
+    interp_linear,
+    interp_nearest,
+    interp_pchip,
+    interp_zoh,
+)
+from lebesgue_interp import baselines
 from lebesgue_interp.baselines import fritsch_carlson_slopes
-from conftest import make_sampled
+from conftest import PER_SIGNAL, make_sampled
 from oracles import linear_pointwise, nearest_pointwise, zoh_pointwise
 
 
@@ -162,7 +172,7 @@ class TestPchip:
             s = random_knots(rng)
             x = s.indices.astype(np.float64)
             y = s.values
-            m = fritsch_carlson_slopes(x, y)
+            m = fritsch_carlson_slopes(x, y, np.arange(x.size) == 0)
             for k in range(1, len(x) - 1):
                 left = segment_derivative(y[k - 1], y[k], m[k - 1], m[k], x[k] - x[k - 1], 1.0)
                 right = segment_derivative(y[k], y[k + 1], m[k], m[k + 1], x[k + 1] - x[k], 0.0)
@@ -175,6 +185,38 @@ class TestPchip:
     def test_two_knots_linear(self):
         s = make_sampled([0, 4], [1.0, 3.0], 5)
         np.testing.assert_allclose(interp_pchip(s).values, [1.0, 1.5, 2.0, 2.5, 3.0], atol=1e-12)
+
+    def test_block_slopes_are_each_signals_slopes(self):
+        # signals of 1, 2, 3 and more knots end to end: each signal's own
+        # slopes, 0 for the single knot
+        rng = np.random.default_rng(12)
+        signals = [make_sampled([0], [0.4], 3), make_sampled([0, 2], [0.1, 0.9], 5)]
+        signals += [random_knots(rng) for _ in range(6)]
+        signals.insert(3, make_sampled([0, 1, 4], [0.5, 0.2, 0.7], 6))
+        offsets = np.cumsum([0] + [s.source_length for s in signals])
+        x = np.concatenate([s.indices + o for s, o in zip(signals, offsets)])
+        y = np.concatenate([s.values for s in signals])
+        first = np.isin(x, offsets)
+        want = [np.zeros(1)] + [
+            fritsch_carlson_slopes(s.indices, s.values, np.arange(len(s)) == 0) for s in signals[1:]
+        ]
+        got = fritsch_carlson_slopes(x, y, first)
+        assert got.tobytes() == np.concatenate(want).tobytes()
+
+    def test_block_cubic_skips_signal_tails(self):
+        # the Hermite pass covers each signal's knot span, not the held tails
+        signals = [make_sampled([0, 2], [0.1, 0.9], 7), make_sampled([0], [0.4], 3)]
+        signals += [make_sampled([0, 1, 4], [0.5, 0.2, 0.7], 9), make_sampled([0, 3], [0.3, 0.6], 4)]
+        offsets = np.cumsum([0] + [s.source_length for s in signals])
+        x = np.concatenate([s.indices + o for s, o in zip(signals, offsets)])
+        y = np.concatenate([s.values for s in signals])
+        first = np.isin(x, offsets)
+        with mock.patch.object(baselines, "hermite_fill", wraps=baselines.hermite_fill) as fill:
+            out = baselines.reconstruct_block(None, baselines.cubic_kernel, x, y, first, offsets[-1])
+        spans = fill.call_args.args[1]
+        assert spans[-1] - spans[0] + 1 == sum(int(s.indices[-1]) + 1 for s in signals)
+        want = np.concatenate([interp_pchip(s).values for s in signals])
+        assert out.tobytes() == want.tobytes()
 
 
 class TestCommonContracts:
@@ -192,3 +234,35 @@ class TestCommonContracts:
         out = interp(s).values
         assert out.size == 9
         np.testing.assert_array_equal(out[3:], [0.8] * 6)
+
+
+class TestOverflowRetry:
+    """Knot differences past float max make the first pass overflow; the
+    retry at a power-of-two scale must give what the unscaled run would."""
+
+    @pytest.mark.parametrize("method", sorted(PER_SIGNAL))
+    def test_retry_equals_run_at_lower_scale(self, method):
+        s = make_sampled([0, 5, 10], [1e308, -1e308, 1e308], 11)
+        got = PER_SIGNAL[method](s, ReconstructionParams(0.05)).values
+        scale = 2.0**-20
+        small = make_sampled(s.indices, s.values * scale, 11)
+        want = PER_SIGNAL[method](small, ReconstructionParams(0.05 * scale)).values / scale
+        assert np.all(np.isfinite(got))
+        assert got.tobytes() == want.tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), magnitude=st.sampled_from([1e-5, 1.0, 1e4]),
+           power=st.integers(-60, 60))
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_scaling_is_exact(self, seed, magnitude, power):
+        # what makes the retry exact: scaling knots and threshold by 2**power
+        # scales every method's output exactly
+        rng = np.random.default_rng(seed)
+        s = random_knots(rng)
+        s = make_sampled(s.indices, s.values * magnitude, s.source_length)
+        params = ReconstructionParams(0.05 * magnitude, 1.15, 1, 1)
+        scale = 2.0**power
+        scaled = make_sampled(s.indices, s.values * scale, s.source_length)
+        scaled_params = ReconstructionParams(params.threshold * scale, 1.15, 1, 1)
+        for method, rec in PER_SIGNAL.items():
+            want = rec(s, params).values * scale
+            assert rec(scaled, scaled_params).values.tobytes() == want.tobytes(), method

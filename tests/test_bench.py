@@ -1,7 +1,11 @@
 import json
+import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lebesgue_interp import (
     DatasetBundle,
@@ -12,7 +16,8 @@ from lebesgue_interp import (
     METHODS,
     MethodReport,
     ParseError,
-    Reconstruction,
+    ReconstructionParams,
+    SampleBudget,
     TimeSeries,
     abruptness,
     emit_report,
@@ -22,9 +27,14 @@ from lebesgue_interp import (
     lebesgue_sample,
     load_ucr_dataset,
     merge_bundles,
+    normalize_unit_interval,
+    riemann_sample,
+    rmse,
     run_benchmark,
     run_experiment,
 )
+from lebesgue_interp import bench
+from conftest import PER_SIGNAL
 from oracles import rmse_plain, trace_send_on_delta
 
 
@@ -171,22 +181,20 @@ class TestRunExperiment:
         assert by_name["Linear"] == pytest.approx(want_lin, abs=1e-12)
 
     def test_knots_checked_on_every_signal(self, monkeypatch):
-        linear = METHODS["linear"]
-        calls = []
+        label, plan, chord = METHODS["linear"]
+        blocks = []
 
-        def off_knot_on_second_signal(s, params):
-            rec = linear(s, params)
-            calls.append(s)
-            if len(calls) != 2:
-                return rec
-            values = rec.values.copy()
-            values[s.indices[-1]] += 1.0
-            return Reconstruction(values, rec.method_name)
+        def off_knot_on_second_signal(x, y, first, j):
+            out = chord(x, y, first, j)
+            blocks.append(int(first.sum()))
+            out[x[np.flatnonzero(first)[1]]] += 1.0  # signal 1's first kept point
+            return out
 
-        monkeypatch.setitem(METHODS, "linear", off_knot_on_second_signal)
+        monkeypatch.setitem(METHODS, "linear", (label, plan, off_knot_on_second_signal))
         bundle = generate_synthetic_corpus(10, {"sine": 3}, length=120, name="s")
         with pytest.raises(AssertionError, match="'linear'.*signal 1"):
             run_experiment(bundle, ExperimentConfig(methods=("linear",)))
+        assert blocks == [3]  # all three signals in one block
 
     def test_budget_mode_prefixes_and_compliance(self):
         bundle = generate_synthetic_corpus(9, {"walk": 6}, length=250, name="w")
@@ -214,6 +222,84 @@ class TestRunExperiment:
         r2 = run_experiment(bundle, ExperimentConfig())
         for a, b in zip(r1.summary, r2.summary):
             assert a == b
+
+
+def _shaped(rng, shape, n):
+    """A walk, a constant (one knot when the threshold is positive) or a
+    single step (two knots), normalized as the bench does."""
+    if shape == "flat":
+        v = np.full(n, 3.0)
+    elif shape == "step":
+        v = (np.arange(n) >= n // 2).astype(np.float64)
+    else:
+        v = np.cumsum(rng.normal(0.0, rng.uniform(0.005, 0.1), size=n))
+    return normalize_unit_interval(TimeSeries(v))
+
+
+class TestBlockedScoring:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        specs=st.lists(
+            st.tuples(st.sampled_from(["walk", "flat", "step"]), st.integers(1, 400)),
+            min_size=1,
+            max_size=8,
+        ),
+        threshold=st.sampled_from([0.0, 0.02, 0.05, 0.2]),
+        ratio=st.sampled_from([1.0, 1.15, 3.0, math.inf]),
+        previous=st.integers(0, 5),
+        subsequent_min=st.integers(0, 5),
+        subsequent_max=st.one_of(st.none(), st.integers(1, 40)),
+        riemann=st.booleans(),
+        block=st.sampled_from([64, 700, bench.BLOCK_POINTS]),
+    )
+    # length-1, one-knot and two-knot signals, and one longer than its block
+    @example(seed=0, specs=[("walk", 1), ("flat", 30), ("step", 40), ("walk", 300), ("walk", 1)],
+             threshold=0.05, ratio=1.15, previous=3, subsequent_min=3, subsequent_max=None,
+             riemann=False, block=64)
+    @example(seed=1, specs=[("walk", 200), ("step", 9), ("walk", 150)], threshold=0.0,
+             ratio=1.0, previous=0, subsequent_min=0, subsequent_max=None, riemann=False,
+             block=700)
+    @example(seed=2, specs=[("walk", 250)] * 3, threshold=0.02, ratio=math.inf, previous=1,
+             subsequent_min=1, subsequent_max=None, riemann=False, block=700)
+    @example(seed=3, specs=[("walk", 250)] * 3, threshold=0.02, ratio=1.0, previous=1,
+             subsequent_min=1, subsequent_max=8, riemann=False, block=700)
+    @example(seed=4, specs=[("walk", 1), ("walk", 5), ("walk", 300), ("flat", 20)],
+             threshold=0.05, ratio=1.15, previous=3, subsequent_min=3, subsequent_max=None,
+             riemann=True, block=64)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_per_signal_reconstructors(
+        self, seed, specs, threshold, ratio, previous, subsequent_min, subsequent_max,
+        riemann, block,
+    ):
+        rng = np.random.default_rng(seed)
+        signals = [_shaped(rng, shape, n) for shape, n in specs]
+        sampled = [
+            riemann_sample(ts, SampleBudget(0.15)) if riemann else lebesgue_sample(ts, threshold)
+            for ts in signals
+        ]
+        params = ReconstructionParams(threshold, ratio, previous, subsequent_min, subsequent_max)
+        with mock.patch.object(bench, "BLOCK_POINTS", block):
+            scores = bench._score_sampled(signals, sampled, params, tuple(METHODS), "")
+        for m, score in zip(METHODS, scores):
+            want = [rmse(ts, PER_SIGNAL[m](s, params)) for ts, s in zip(signals, sampled)]
+            # bit for bit, sign bits included
+            assert np.array(score.per_signal_rmse).tobytes() == np.array(want).tobytes(), m
+
+    def test_memory_does_not_grow_with_signal_count(self):
+        def peak(count):
+            bundle = generate_synthetic_corpus(5, {"walk": count}, length=200)
+            sampled = [lebesgue_sample(ts, 0.05) for ts in bundle.signals]
+            params = ReconstructionParams(0.05)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                bench._score_sampled(bundle.signals, sampled, params, tuple(METHODS), "")
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        peak(50)  # warm-up: first-call allocations are not the scorer's
+        assert peak(400) <= 1.5 * peak(50)
 
 
 class TestEmitReport:

@@ -26,10 +26,15 @@ DEFAULT = ReconstructionParams(threshold=0.05, tolerance_ratio=1.15)
 SMOOTH = ReconstructionParams(threshold=0.05, tolerance_ratio=3.0)  # 0.1 jumps stay smooth
 
 
-def plan(indices, values, params=DEFAULT, turns=True):
-    s = make_sampled(indices, values, int(indices[-1]) + 1)
-    x, y = knot_plan(s, params, turns)
+def plan_of(s, params, turns):
+    """knot_plan on one signal, a block of one, as (index, value) pairs."""
+    x, y, first = knot_plan(s.indices, s.values, np.arange(len(s)) == 0, params, turns)
+    assert first.tolist() == [True] + [False] * (x.size - 1)
     return list(zip(x.tolist(), y.tolist()))
+
+
+def plan(indices, values, params=DEFAULT, turns=True):
+    return plan_of(make_sampled(indices, values, int(indices[-1]) + 1), params, turns)
 
 
 def turn_knot_at(indices, values, x_mid, params=DEFAULT):
@@ -160,9 +165,8 @@ class TestKnotPlan:
         walk = np.cumsum(rng.normal(0.0, rng.uniform(0.005, 0.1), size=length))
         s = lebesgue_sample(TimeSeries(walk), threshold)
         params = ReconstructionParams(threshold, ratio, previous, subsequent_min, subsequent_max)
-        x, y = knot_plan(s, params, turns)
         want = augmented_knots_scalar(s.points, params, turns)
-        assert list(zip(x.tolist(), y.tolist())) == want
+        assert plan_of(s, params, turns) == want
         chord, cubic = (
             (reconstruct_zelic, reconstruct_zechipc) if turns else (reconstruct_zeli, reconstruct_zechip)
         )
