@@ -25,7 +25,6 @@ from .bench import (
 )
 from .core import (
     DatasetBundle,
-    Reconstruction,
     ReconstructionParams,
     SampledSeries,
     TimeSeries,
@@ -54,7 +53,6 @@ from .sampling import (
     tune_threshold,
 )
 from .zelic import (
-    abrupt_limit_condition,
     reconstruct_zechip,
     reconstruct_zechipc,
     reconstruct_zeli,
@@ -74,13 +72,11 @@ __all__ = [
     "MethodReport",
     "MethodScore",
     "ParseError",
-    "Reconstruction",
     "ReconstructionParams",
     "SampleBudget",
     "SampledSeries",
     "ShapeError",
     "TimeSeries",
-    "abrupt_limit_condition",
     "abruptness",
     "aggregate_report",
     "emit_report",

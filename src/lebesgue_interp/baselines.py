@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import Reconstruction, SampledSeries
+from .core import SampledSeries
 
 __all__ = [
     "interp_zoh",
@@ -153,21 +153,21 @@ def reconstruct_signal(plan, kernel, s: SampledSeries, params=None) -> np.ndarra
     return reconstruct_block(plan, kernel, s.indices, s.values, first, s.source_length, params)
 
 
-def interp_zoh(s: SampledSeries) -> Reconstruction:
+def interp_zoh(s: SampledSeries) -> np.ndarray:
     """Hold each knot value until the next knot; jump there."""
-    return Reconstruction(reconstruct_signal(None, hold_kernel, s), "zoh")
+    return reconstruct_signal(None, hold_kernel, s)
 
 
-def interp_linear(s: SampledSeries) -> Reconstruction:
+def interp_linear(s: SampledSeries) -> np.ndarray:
     """Straight lines between consecutive knots; constant after the last."""
-    return Reconstruction(reconstruct_signal(None, chord_kernel, s), "linear")
+    return reconstruct_signal(None, chord_kernel, s)
 
 
-def interp_nearest(s: SampledSeries) -> Reconstruction:
+def interp_nearest(s: SampledSeries) -> np.ndarray:
     """Each index copies the nearest knot's value; ties go to the earlier knot."""
-    return Reconstruction(reconstruct_signal(None, nearest_kernel, s), "nearest")
+    return reconstruct_signal(None, nearest_kernel, s)
 
 
-def interp_pchip(s: SampledSeries) -> Reconstruction:
+def interp_pchip(s: SampledSeries) -> np.ndarray:
     """Shape-preserving piecewise cubic through the knots (two knots: a line)."""
-    return Reconstruction(reconstruct_signal(None, cubic_kernel, s), "pchip")
+    return reconstruct_signal(None, cubic_kernel, s)

@@ -43,7 +43,6 @@ from .zelic import ANCHORS, TURNS
 
 __all__ = [
     "METHODS",
-    "DatasetBundle",
     "ExperimentMode",
     "ExperimentConfig",
     "load_ucr_dataset",
@@ -98,8 +97,8 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown methods: {unknown}; choose from {sorted(METHODS)}")
         if not self.methods:
             raise InvalidInputError("at least one method is required")
-        if self.mode is ExperimentMode.BUDGET:
-            SampleBudget(self.target_fraction)  # validate range
+        SampleBudget(self.target_fraction)  # validate range
+        self.make_params(self.threshold)  # validate threshold, ratio and distances
 
     def make_params(self, threshold: float) -> ReconstructionParams:
         """Reconstruction parameters bound to the sampling threshold in use."""
@@ -112,9 +111,13 @@ class ExperimentConfig:
         )
 
     def echo(self) -> dict[str, object]:
-        """Every field in declaration order, as report.json records it."""
+        """Every field in declaration order, as report.json records it; an
+        infinite tolerance ratio, which JSON has no number for, as "inf"."""
         echo = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        return echo | {"mode": self.mode.value, "methods": list(self.methods)}
+        ratio = "inf" if math.isinf(self.tolerance_ratio) else self.tolerance_ratio
+        return echo | {
+            "mode": self.mode.value, "tolerance_ratio": ratio, "methods": list(self.methods)
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +361,7 @@ def _score_sampled(
                     f"method {m!r} failed the interpolation condition on signal {i}"
                 )
             table[m] += rmse_per_signal(v, out, bounds)
-    return [MethodScore.from_rmse(prefix + METHODS[m][0], table[m]) for m in methods]
+    return [MethodScore(prefix + METHODS[m][0], tuple(table[m])) for m in methods]
 
 
 def run_experiment(bundle: DatasetBundle, config: ExperimentConfig) -> MethodReport:
@@ -467,41 +470,23 @@ def emit_report(report: MethodReport, out_dir: str | os.PathLike) -> list[Path]:
     Files: ``<dataset>_rmse.csv`` (one per dataset; columns are methods in
     summary order), ``summary.csv``, ``boxplot_long.csv`` and
     ``report.json``. Field order and number formatting (17 significant
-    digits) are fixed, so identical reports serialize identically.
+    digits) are fixed, so identical reports serialize identically. Two
+    dataset names that map to the same file name raise before any file is
+    written.
     """
     if not report.summary:
         raise InvalidInputError("report has no methods")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     methods = list(report.method_names)
-    written: list[Path] = []
-
+    tables: dict[str, DatasetResult] = {}
     for d in report.datasets:
         safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in d.dataset)
-        path = out / f"{safe}_rmse.csv"
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["dataset", *methods])
-            w.writerow([d.dataset, *(_fmt(d.score_for(m).mean_rmse) for m in methods)])
-        written.append(path)
-
-    path = out / "summary.csv"
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "mean_rmse", "mean_rank", "wins"])
-        for s in report.summary:
-            w.writerow([s.method_name, _fmt(s.mean_rmse), _fmt(s.mean_rank), s.wins])
-    written.append(path)
-
-    path = out / "boxplot_long.csv"
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dataset", "method", "rmse", "rank"])
-        for d in report.datasets:
-            for m in methods:
-                sc = d.score_for(m)
-                w.writerow([d.dataset, m, _fmt(sc.mean_rmse), sc.rank_position])
-    written.append(path)
+        if safe in tables:
+            raise InvalidInputError(
+                f"datasets {tables[safe].dataset!r} and {d.dataset!r} "
+                f"would both write {safe}_rmse.csv"
+            )
+        tables[safe] = d
 
     payload = {
         "config": dict(report.config) if report.config else None,
@@ -533,9 +518,37 @@ def emit_report(report: MethodReport, out_dir: str | os.PathLike) -> list[Path]:
             for s in report.summary
         ],
     }
+    text = _json_text(payload) + "\n"
+
+    out.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    for safe, d in tables.items():
+        path = out / f"{safe}_rmse.csv"
+        with path.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["dataset", *methods])
+            w.writerow([d.dataset, *(_fmt(d.score_for(m).mean_rmse) for m in methods)])
+        written.append(path)
+
+    path = out / "summary.csv"
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["method", "mean_rmse", "mean_rank", "wins"])
+        for s in report.summary:
+            w.writerow([s.method_name, _fmt(s.mean_rmse), _fmt(s.mean_rank), s.wins])
+    written.append(path)
+
+    path = out / "boxplot_long.csv"
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["dataset", "method", "rmse", "rank"])
+        for d in report.datasets:
+            for m in methods:
+                sc = d.score_for(m)
+                w.writerow([d.dataset, m, _fmt(sc.mean_rmse), sc.rank_position])
+    written.append(path)
+
     path = out / "report.json"
-    with path.open("w") as fh:
-        fh.write(_json_text(payload))
-        fh.write("\n")
+    path.write_text(text)
     written.append(path)
     return written

@@ -66,10 +66,25 @@ def _write_sampled(path: Path, s: SampledSeries) -> None:
             w.writerow([i, repr(v)])
 
 
+def _parse_field(path: Path, what: str, parse, text: str, row: int):
+    """``parse(text)``, or a ParseError naming the file, the field and the row."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ParseError(f"{path}: cannot parse {what} {text!r} at row {row}", row=row) from None
+
+
+def _int64(text: str) -> int:
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{text!r} is outside the int64 range")
+    return value
+
+
 def _read_sampled(path: Path, length: int | None, threshold: float | None) -> SampledSeries:
     if not path.exists():
         raise FileNotFoundError(f"sampled file not found: {path}")
-    meta: dict[str, str] = {}
+    meta: dict[str, tuple[str, int]] = {}
     idx: list[int] = []
     vals: list[float] = []
     with path.open() as fh:
@@ -81,24 +96,21 @@ def _read_sampled(path: Path, length: int | None, threshold: float | None) -> Sa
                 for token in line[1:].split():
                     if "=" in token:
                         k, v = token.split("=", 1)
-                        meta[k] = v
+                        meta[k] = (v, r)
                 continue
             if line.lower().startswith("index"):
                 continue
             parts = line.split(",")
             if len(parts) != 2:
                 raise ParseError(f"{path}: expected 'index,value' at row {r}", row=r)
-            try:
-                idx.append(int(parts[0]))
-            except ValueError:
-                raise ParseError(f"{path}: cannot parse row {r}: {line!r}", row=r) from None
+            idx.append(_parse_field(path, "index", _int64, parts[0], r))
             vals += parse_finite_fields(parts[1:], path, r, first_column=1)
     if length is None:
         if "source_length" not in meta:
             raise InvalidInputError(f"{path} has no source_length metadata; pass --length")
-        length = int(meta["source_length"])
+        length = _parse_field(path, "source_length", _int64, *meta["source_length"])
     if threshold is None:
-        threshold = float(meta.get("threshold", "0"))
+        threshold = _parse_field(path, "threshold", float, *meta.get("threshold", ("0", 0)))
     return SampledSeries(np.asarray(idx), np.asarray(vals), length, threshold)
 
 

@@ -16,7 +16,6 @@ from .errors import InvalidInputError, ShapeError
 __all__ = [
     "TimeSeries",
     "SampledSeries",
-    "Reconstruction",
     "ReconstructionParams",
     "DatasetBundle",
     "normalize_unit_interval",
@@ -91,29 +90,9 @@ class SampledSeries:
         return int(self.indices.size)
 
     @property
-    def points(self) -> list[tuple[int, float]]:
-        return list(zip(self.indices.tolist(), self.values.tolist()))
-
-    @property
     def fraction(self) -> float:
         """Share of the original points that were retained."""
         return len(self) / self.source_length
-
-
-@dataclass(frozen=True, eq=False)
-class Reconstruction:
-    """A full-length reconstructed signal plus the method that produced it."""
-
-    values: np.ndarray
-    method_name: str
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass(frozen=True)

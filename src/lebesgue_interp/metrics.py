@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Reconstruction, TimeSeries
+from .core import TimeSeries
 from .errors import InvalidInputError, ShapeError
 
 __all__ = [
@@ -23,13 +22,12 @@ __all__ = [
 ]
 
 
-def rmse(original: TimeSeries, reconstructed: Reconstruction) -> float:
-    """Root of the mean squared pointwise difference."""
-    a = original.values
-    b = reconstructed.values
-    if a.size != b.size:
-        raise ShapeError(f"length mismatch: original {a.size} vs reconstruction {b.size}")
-    return rmse_per_signal(a, b, (0, a.size))[0]
+def rmse(original: np.ndarray, reconstructed: np.ndarray) -> float:
+    """Root of the mean squared pointwise difference of two equal-length arrays."""
+    n, m = original.size, reconstructed.size
+    if n != m:
+        raise ShapeError(f"length mismatch: original {n} vs reconstruction {m}")
+    return rmse_per_signal(original, reconstructed, (0, n))[0]
 
 
 def rmse_per_signal(
@@ -54,32 +52,24 @@ def abruptness(series: TimeSeries) -> float:
 
 @dataclass(frozen=True)
 class MethodScore:
-    """Per-dataset scores for one method."""
+    """Per-dataset scores for one method; the mean and median derive from
+    the per-signal RMSEs."""
 
     method_name: str
     per_signal_rmse: tuple[float, ...]
-    mean_rmse: float
-    median_rmse: float
     rank_position: int | None = None
 
     def __post_init__(self):
         if not self.per_signal_rmse:
             raise InvalidInputError(f"method {self.method_name!r} has no scores")
-        arr = np.asarray(self.per_signal_rmse, dtype=np.float64)
-        if not math.isclose(self.mean_rmse, float(arr.mean()), rel_tol=0.0, abs_tol=1e-12):
-            raise InvalidInputError(f"mean_rmse inconsistent for {self.method_name!r}")
-        if not math.isclose(self.median_rmse, float(np.median(arr)), rel_tol=0.0, abs_tol=1e-12):
-            raise InvalidInputError(f"median_rmse inconsistent for {self.method_name!r}")
 
-    @classmethod
-    def from_rmse(cls, method_name: str, values: Sequence[float]) -> "MethodScore":
-        arr = np.asarray(values, dtype=np.float64)
-        return cls(
-            method_name=method_name,
-            per_signal_rmse=tuple(float(v) for v in arr),
-            mean_rmse=float(arr.mean()),
-            median_rmse=float(np.median(arr)),
-        )
+    @property
+    def mean_rmse(self) -> float:
+        return float(np.mean(self.per_signal_rmse))
+
+    @property
+    def median_rmse(self) -> float:
+        return float(np.median(self.per_signal_rmse))
 
 
 def rank_methods(scores: Sequence[MethodScore]) -> list[MethodScore]:

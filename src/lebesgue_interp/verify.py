@@ -1,4 +1,5 @@
-"""The paper's property checks and the independent oracles they rest on.
+"""The paper's property checks, its single-point limit lemma, and the
+independent oracles they rest on.
 
 Each check re-derives its expectation through an independent route (naive
 trace, interior-point scan, Monte Carlo, closed-form fixtures) so a pass
@@ -18,10 +19,10 @@ from .bench import generate_synthetic_corpus
 from .core import SampledSeries, TimeSeries
 from .errors import InvalidInputError
 from .sampling import lebesgue_sample
-from .zelic import abrupt_limit_condition
 
 __all__ = [
     "CheckResult",
+    "abrupt_limit_condition",
     "chord_exits_band",
     "check_band",
     "check_convexity_area",
@@ -72,6 +73,22 @@ def chord_exits_band(xa, ya, xb, yb, threshold):
     return False
 
 
+def abrupt_limit_condition(xa: int, ya: float, xb: int, yb: float, threshold: float) -> bool:
+    """True iff the chord from (xa, ya) to (xb, yb) exits the tolerated band of ya.
+
+    Checking only the last interior grid point x = xb - 1 suffices: the
+    chord's deviation |slope| * (x - xa) is largest there, so it lies
+    strictly outside the band iff that single point does. A zero slope can
+    never leave the band; adjacent knots have nothing between.
+    """
+    if xa >= xb:
+        raise InvalidInputError(f"interval endpoints must be ordered, got {xa} >= {xb}")
+    slope = (yb - ya) / (xb - xa)
+    if slope == 0.0:
+        return False
+    return xb - 1 > threshold / abs(slope) + xa
+
+
 def monte_carlo_convexity_area(samples: int, seed: int, threshold: float = 1.0) -> float:
     """Fraction of the tolerated box lying between the chord and its top edge.
 
@@ -112,7 +129,8 @@ def check_sampler_trace(seed: int, count: int) -> CheckResult:
     mismatches = 0
     for ts, t in _walk_cases(seed, count):
         got = lebesgue_sample(ts, t)
-        mismatches += got.points != trace_send_on_delta(ts.values.tolist(), t)
+        idx, vals = zip(*trace_send_on_delta(ts.values.tolist(), t))
+        mismatches += got.indices.tolist() != list(idx) or got.values.tolist() != list(vals)
     detail = f"{count} walks x {len(THRESHOLDS)} thresholds + quantized, {mismatches} mismatches"
     return CheckResult("sampler-vs-naive-trace", mismatches == 0, detail)
 
@@ -155,7 +173,7 @@ def check_convexity_area(seed: int, samples: int) -> CheckResult:
 
 def _pchip(indices, values) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.int64)
-    return interp_pchip(SampledSeries(idx, values, int(idx[-1]) + 1, 0.0)).values
+    return interp_pchip(SampledSeries(idx, values, int(idx[-1]) + 1, 0.0))
 
 
 def check_pchip_shape(seed: int, fixtures: int) -> CheckResult:

@@ -15,33 +15,15 @@ from functools import partial
 import numpy as np
 
 from .baselines import chord_kernel, cubic_kernel, reconstruct_signal
-from .core import Reconstruction, ReconstructionParams, SampledSeries
-from .errors import InvalidInputError
+from .core import ReconstructionParams, SampledSeries
 
 __all__ = [
-    "abrupt_limit_condition",
     "knot_plan",
     "reconstruct_zeli",
     "reconstruct_zelic",
     "reconstruct_zechip",
     "reconstruct_zechipc",
 ]
-
-
-def abrupt_limit_condition(xa: int, ya: float, xb: int, yb: float, threshold: float) -> bool:
-    """True iff the chord from (xa, ya) to (xb, yb) exits the tolerated band of ya.
-
-    Checking only the last interior grid point x = xb - 1 suffices: the
-    chord's deviation |slope| * (x - xa) is largest there, so it lies
-    strictly outside the band iff that single point does. A zero slope can
-    never leave the band; adjacent knots have nothing between.
-    """
-    if xa >= xb:
-        raise InvalidInputError(f"interval endpoints must be ordered, got {xa} >= {xb}")
-    slope = (yb - ya) / (xb - xa)
-    if slope == 0.0:
-        return False
-    return xb - 1 > threshold / abs(slope) + xa
 
 
 def knot_plan(
@@ -99,21 +81,21 @@ ANCHORS = partial(knot_plan, turns=False)  # kept points plus hold anchors
 TURNS = partial(knot_plan, turns=True)  # kept points, hold anchors and turn knots
 
 
-def reconstruct_zeli(s: SampledSeries, params: ReconstructionParams) -> Reconstruction:
+def reconstruct_zeli(s: SampledSeries, params: ReconstructionParams) -> np.ndarray:
     """Chord on Smooth intervals, hold-then-jump on Abrupt ones."""
-    return Reconstruction(reconstruct_signal(ANCHORS, chord_kernel, s, params), "zeli")
+    return reconstruct_signal(ANCHORS, chord_kernel, s, params)
 
 
-def reconstruct_zelic(s: SampledSeries, params: ReconstructionParams) -> Reconstruction:
+def reconstruct_zelic(s: SampledSeries, params: ReconstructionParams) -> np.ndarray:
     """ZeLi plus the slope-reversal knots, joined with straight segments."""
-    return Reconstruction(reconstruct_signal(TURNS, chord_kernel, s, params), "zelic")
+    return reconstruct_signal(TURNS, chord_kernel, s, params)
 
 
-def reconstruct_zechip(s: SampledSeries, params: ReconstructionParams) -> Reconstruction:
+def reconstruct_zechip(s: SampledSeries, params: ReconstructionParams) -> np.ndarray:
     """Shape-preserving cubic over samples plus Abrupt-interval anchors."""
-    return Reconstruction(reconstruct_signal(ANCHORS, cubic_kernel, s, params), "zechip")
+    return reconstruct_signal(ANCHORS, cubic_kernel, s, params)
 
 
-def reconstruct_zechipc(s: SampledSeries, params: ReconstructionParams) -> Reconstruction:
+def reconstruct_zechipc(s: SampledSeries, params: ReconstructionParams) -> np.ndarray:
     """ZeChip with the slope-reversal knots added before the single cubic pass."""
-    return Reconstruction(reconstruct_signal(TURNS, cubic_kernel, s, params), "zechipc")
+    return reconstruct_signal(TURNS, cubic_kernel, s, params)

@@ -22,7 +22,7 @@ from lebesgue_interp import (
 
 UCR_ENV = "LEBESGUE_INTERP_UCR_DIR"
 
-# the public per-signal reconstructor of each method, as (sampled, params) -> Reconstruction
+# the public per-signal reconstructor of each method, as (sampled, params) -> values
 PER_SIGNAL = {
     "zoh": lambda s, p: interp_zoh(s),
     "linear": lambda s, p: interp_linear(s),

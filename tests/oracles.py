@@ -15,6 +15,11 @@ import numpy as np
 from lebesgue_interp.verify import chord_exits_band, trace_send_on_delta  # noqa: F401
 
 
+def points(s):
+    """A sampled series as (index, value) pairs."""
+    return list(zip(s.indices.tolist(), s.values.tolist()))
+
+
 def zoh_pointwise(points, length):
     """Hold-previous evaluated index by index."""
     out = []

@@ -174,8 +174,8 @@ class TestRunExperiment:
         trace = trace_send_on_delta(sig.tolist(), 0.05)
         s = lebesgue_sample(TimeSeries(sig), 0.05)
         assert list(zip(s.indices.tolist(), s.values.tolist())) == trace
-        want_zoh = rmse_plain(sig.tolist(), interp_zoh(s).values.tolist())
-        want_lin = rmse_plain(sig.tolist(), interp_linear(s).values.tolist())
+        want_zoh = rmse_plain(sig.tolist(), interp_zoh(s).tolist())
+        want_lin = rmse_plain(sig.tolist(), interp_linear(s).tolist())
         by_name = {sc.method_name: sc.mean_rmse for sc in report.summary}
         assert by_name["Zero"] == pytest.approx(want_zoh, abs=1e-12)
         assert by_name["Linear"] == pytest.approx(want_lin, abs=1e-12)
@@ -281,7 +281,7 @@ class TestBlockedScoring:
         with mock.patch.object(bench, "BLOCK_POINTS", block):
             scores = bench._score_sampled(signals, sampled, params, tuple(METHODS), "")
         for m, score in zip(METHODS, scores):
-            want = [rmse(ts, PER_SIGNAL[m](s, params)) for ts, s in zip(signals, sampled)]
+            want = [rmse(ts.values, PER_SIGNAL[m](s, params)) for ts, s in zip(signals, sampled)]
             # bit for bit, sign bits included
             assert np.array(score.per_signal_rmse).tobytes() == np.array(want).tobytes(), m
 
@@ -329,6 +329,16 @@ class TestEmitReport:
         ds = payload["datasets"][0]
         assert ds["dataset"] == "tiny"
         assert {sc["method"] for sc in ds["scores"]} == set(report.method_names)
+
+    def test_names_sharing_a_file_rejected(self, tmp_path):
+        bundles = [
+            generate_synthetic_corpus(12, {"sine": 2}, length=120, name=name)
+            for name in ("a b", "a_b")
+        ]
+        report = run_benchmark(bundles, ExperimentConfig(methods=("zoh",)))
+        with pytest.raises(InvalidInputError, match="'a b' and 'a_b'"):
+            emit_report(report, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_empty_methods_rejected(self, tmp_path):
         report = MethodReport(datasets=(), summary=())

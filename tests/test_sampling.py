@@ -17,23 +17,23 @@ from lebesgue_interp import (
     threshold_candidates,
     tune_threshold,
 )
-from oracles import trace_send_on_delta
+from oracles import points, trace_send_on_delta
 
 
 class TestLebesgueSample:
     def test_threshold_trace(self, ts):
         s = lebesgue_sample(ts([0.0, 0.03, 0.06, 0.20, 0.21]), 0.05)
-        assert s.points == [(0, 0.0), (2, 0.06), (3, 0.20)]
+        assert points(s) == [(0, 0.0), (2, 0.06), (3, 0.20)]
         assert s.threshold == 0.05
 
     def test_constant_signal_never_fires(self, ts):
         s = lebesgue_sample(ts([0.5] * 10), 0.05)
-        assert s.points == [(0, 0.5)]
+        assert points(s) == [(0, 0.5)]
 
     def test_boundary_is_captured(self, ts):
         # the rule is >=, so a move of exactly one threshold fires
         s = lebesgue_sample(ts([0.0, 0.05]), 0.05)
-        assert s.points == [(0, 0.0), (1, 0.05)]
+        assert points(s) == [(0, 0.0), (1, 0.05)]
 
     def test_negative_threshold_rejected(self, ts):
         with pytest.raises(InvalidInputError):

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from lebesgue_interp import (
     ReconstructionParams,
     TimeSeries,
-    abrupt_limit_condition,
     generate_synthetic_corpus,
     interp_linear,
     interp_pchip,
@@ -18,9 +17,10 @@ from lebesgue_interp import (
     reconstruct_zelic,
     rmse,
 )
+from lebesgue_interp.verify import abrupt_limit_condition
 from lebesgue_interp.zelic import knot_plan
 from conftest import make_sampled
-from oracles import augmented_knots_scalar, chord_exits_band, chord_loop, pchip_loop
+from oracles import augmented_knots_scalar, chord_exits_band, chord_loop, pchip_loop, points
 
 DEFAULT = ReconstructionParams(threshold=0.05, tolerance_ratio=1.15)
 SMOOTH = ReconstructionParams(threshold=0.05, tolerance_ratio=3.0)  # 0.1 jumps stay smooth
@@ -165,26 +165,26 @@ class TestKnotPlan:
         walk = np.cumsum(rng.normal(0.0, rng.uniform(0.005, 0.1), size=length))
         s = lebesgue_sample(TimeSeries(walk), threshold)
         params = ReconstructionParams(threshold, ratio, previous, subsequent_min, subsequent_max)
-        want = augmented_knots_scalar(s.points, params, turns)
+        want = augmented_knots_scalar(points(s), params, turns)
         assert plan_of(s, params, turns) == want
         chord, cubic = (
             (reconstruct_zelic, reconstruct_zechipc) if turns else (reconstruct_zeli, reconstruct_zechip)
         )
         n = s.source_length
-        np.testing.assert_array_equal(chord(s, params).values, chord_loop(want, n))
-        np.testing.assert_array_equal(cubic(s, params).values, pchip_loop(want, n))
+        np.testing.assert_array_equal(chord(s, params), chord_loop(want, n))
+        np.testing.assert_array_equal(cubic(s, params), pchip_loop(want, n))
 
 
 class TestReconstructZeli:
     def test_smooth_interval_is_linear(self):
         s = make_sampled([0, 4], [0.0, 0.056], 5)
         np.testing.assert_allclose(
-            reconstruct_zeli(s, DEFAULT).values, [0.0, 0.014, 0.028, 0.042, 0.056], atol=1e-15
+            reconstruct_zeli(s, DEFAULT), [0.0, 0.014, 0.028, 0.042, 0.056], atol=1e-15
         )
 
     def test_abrupt_interval_is_hold_then_jump(self):
         s = make_sampled([0, 4], [0.0, 0.3], 5)
-        np.testing.assert_array_equal(reconstruct_zeli(s, DEFAULT).values, [0, 0, 0, 0, 0.3])
+        np.testing.assert_array_equal(reconstruct_zeli(s, DEFAULT), [0, 0, 0, 0, 0.3])
 
     def test_infinite_ratio_equals_linear(self):
         rng = np.random.default_rng(10)
@@ -195,24 +195,24 @@ class TestReconstructZeli:
             vals = rng.uniform(0, 1, size=k)
             s = make_sampled(idx, vals, int(idx[-1]) + 3)
             np.testing.assert_array_equal(
-                reconstruct_zeli(s, params).values, interp_linear(s).values
+                reconstruct_zeli(s, params), interp_linear(s)
             )
 
     def test_abrupt_values_stay_in_band(self):
         # inside an abrupt interval every value equals the left knot
         s = make_sampled([0, 10, 20], [0.0, 0.5, 0.1], 21)
-        out = reconstruct_zeli(s, DEFAULT).values
+        out = reconstruct_zeli(s, DEFAULT)
         np.testing.assert_array_equal(out[1:10], [0.0] * 9)
         np.testing.assert_array_equal(out[11:20], [0.5] * 9)
 
     def test_smooth_envelope(self):
         s = make_sampled([0, 8], [0.5, 0.55], 9)
-        out = reconstruct_zeli(s, DEFAULT).values
+        out = reconstruct_zeli(s, DEFAULT)
         assert out.min() >= 0.5 - 1e-12 and out.max() <= 0.55 + 1e-12
 
     def test_knots_reproduced(self):
         s = make_sampled([0, 7, 13], [0.2, 0.9, 0.3], 15)
-        out = reconstruct_zeli(s, DEFAULT).values
+        out = reconstruct_zeli(s, DEFAULT)
         np.testing.assert_array_equal(out[s.indices], s.values)
 
 
@@ -225,14 +225,14 @@ class TestReconstructZelic:
             vals = np.sort(rng.uniform(0, 1, size=k))
             s = make_sampled(idx, vals, int(idx[-1]) + 2)
             np.testing.assert_array_equal(
-                reconstruct_zelic(s, DEFAULT).values, reconstruct_zeli(s, DEFAULT).values
+                reconstruct_zelic(s, DEFAULT), reconstruct_zeli(s, DEFAULT)
             )
 
     def test_v_shape_dips_to_planned_midpoint(self):
         # ratio 3 keeps the 0.1 jumps smooth so only the turn knot differs
         params = ReconstructionParams(threshold=0.05, tolerance_ratio=3.0)
         s = make_sampled([0, 5, 15], [0.6, 0.5, 0.6], 16)
-        out = reconstruct_zelic(s, params).values
+        out = reconstruct_zelic(s, params)
         assert out[10] == pytest.approx(0.5)  # (chord 0.55 + band edge 0.45) / 2
         expected = np.concatenate([
             np.linspace(0.6, 0.5, 6),
@@ -246,8 +246,8 @@ class TestReconstructZelic:
         # the chord while the plain variant stays on it
         params = ReconstructionParams(threshold=0.10, tolerance_ratio=1.15)
         s = make_sampled([0, 6, 16], [0.65, 0.58, 0.62], 17, threshold=0.10)
-        plain = reconstruct_zeli(s, params).values
-        turned = reconstruct_zelic(s, params).values
+        plain = reconstruct_zeli(s, params)
+        turned = reconstruct_zelic(s, params)
         x_mid = (6 + 16) // 2
         chord = plain[x_mid]
         assert turned[x_mid] < chord
@@ -255,13 +255,13 @@ class TestReconstructZelic:
     def test_abrupt_reversal_keeps_anchor(self):
         params = ReconstructionParams(threshold=0.05, tolerance_ratio=1.15)
         s = make_sampled([0, 10, 20], [0.8, 0.3, 0.9], 21)
-        out = reconstruct_zelic(s, params).values
+        out = reconstruct_zelic(s, params)
         assert out[19] == pytest.approx(0.3)  # hold anchor right before the jump
         assert out[20] == pytest.approx(0.9)
 
     def test_knots_reproduced(self):
         s = make_sampled([0, 6, 16], [0.65, 0.58, 0.62], 17)
-        out = reconstruct_zelic(s, DEFAULT).values
+        out = reconstruct_zelic(s, DEFAULT)
         np.testing.assert_array_equal(out[s.indices], s.values)
 
 
@@ -275,12 +275,12 @@ class TestReconstructZechip:
             vals = rng.uniform(0, 1, size=k)
             s = make_sampled(idx, vals, int(idx[-1]) + 2)
             np.testing.assert_array_equal(
-                reconstruct_zechip(s, params).values, interp_pchip(s).values
+                reconstruct_zechip(s, params), interp_pchip(s)
             )
 
     def test_abrupt_interval_held_flat(self):
         s = make_sampled([0, 4], [0.0, 0.3], 5)
-        out = reconstruct_zechip(s, DEFAULT).values
+        out = reconstruct_zechip(s, DEFAULT)
         np.testing.assert_array_equal(out, [0.0, 0.0, 0.0, 0.0, 0.3])
 
     def test_beats_zeli_on_curved_signals(self):
@@ -288,13 +288,13 @@ class TestReconstructZechip:
         zc, zl = [], []
         for ts in bundle.signals:
             s = lebesgue_sample(ts, 0.05)
-            zc.append(rmse(ts, reconstruct_zechip(s, DEFAULT)))
-            zl.append(rmse(ts, reconstruct_zeli(s, DEFAULT)))
+            zc.append(rmse(ts.values, reconstruct_zechip(s, DEFAULT)))
+            zl.append(rmse(ts.values, reconstruct_zeli(s, DEFAULT)))
         assert np.mean(zc) < np.mean(zl)
 
     def test_knots_reproduced(self):
         s = make_sampled([0, 7, 9, 20], [0.2, 0.9, 0.1, 0.5], 22)
-        out = reconstruct_zechip(s, DEFAULT).values
+        out = reconstruct_zechip(s, DEFAULT)
         np.testing.assert_array_equal(out[s.indices], s.values)
 
 
@@ -307,13 +307,13 @@ class TestReconstructZechipc:
             vals = np.sort(rng.uniform(0, 1, size=k))
             s = make_sampled(idx, vals, int(idx[-1]) + 2)
             np.testing.assert_array_equal(
-                reconstruct_zechipc(s, DEFAULT).values, reconstruct_zechip(s, DEFAULT).values
+                reconstruct_zechipc(s, DEFAULT), reconstruct_zechip(s, DEFAULT)
             )
 
     def test_midpoint_knot_hit_exactly(self):
         params = ReconstructionParams(threshold=0.05, tolerance_ratio=3.0)
         s = make_sampled([0, 5, 15], [0.6, 0.5, 0.6], 16)
-        out = reconstruct_zechipc(s, params).values
+        out = reconstruct_zechipc(s, params)
         assert out[10] == pytest.approx(0.5, abs=1e-15)
 
     def test_improves_on_zechip_for_reversing_signals(self):
@@ -321,13 +321,13 @@ class TestReconstructZechipc:
         with_turns, without = [], []
         for ts in bundle.signals:
             s = lebesgue_sample(ts, 0.05)
-            with_turns.append(rmse(ts, reconstruct_zechipc(s, DEFAULT)))
-            without.append(rmse(ts, reconstruct_zechip(s, DEFAULT)))
+            with_turns.append(rmse(ts.values, reconstruct_zechipc(s, DEFAULT)))
+            without.append(rmse(ts.values, reconstruct_zechip(s, DEFAULT)))
         assert np.mean(with_turns) < np.mean(without)
 
     def test_knots_reproduced(self):
         s = make_sampled([0, 6, 16], [0.65, 0.58, 0.62], 17)
-        out = reconstruct_zechipc(s, DEFAULT).values
+        out = reconstruct_zechipc(s, DEFAULT)
         np.testing.assert_array_equal(out[s.indices], s.values)
 
 
@@ -352,7 +352,7 @@ class TestPipelineFuzz:
                 subsequent_min_distance=int(rng.integers(0, 5)),
                 subsequent_max_distance=int(rng.integers(5, 40)) if rng.random() < 0.3 else None,
             )
-            out = reconstruct(s, params).values
+            out = reconstruct(s, params)
             assert out.size == length
             assert np.all(np.isfinite(out))
             np.testing.assert_array_equal(out[s.indices], s.values)
