@@ -33,8 +33,8 @@ from .metrics import (
     DatasetResult,
     MethodReport,
     MethodScore,
-    abruptness,
     aggregate_report,
+    mean_abruptness,
     rank_methods,
     rmse_per_signal,
 )
@@ -373,11 +373,6 @@ def run_experiment(bundle: DatasetBundle, config: ExperimentConfig) -> MethodRep
     methods reuse the tuned threshold as their band parameter in both.
     """
     normalized = [normalize_unit_interval(ts) for ts in bundle.signals]
-    mean_abruptness = (
-        float(np.mean([abruptness(ts) for ts in bundle.signals]))
-        if all(len(ts) >= 2 for ts in bundle.signals)
-        else None
-    )
 
     if config.mode is ExperimentMode.FIXED_THRESHOLD:
         threshold = config.threshold
@@ -401,7 +396,7 @@ def run_experiment(bundle: DatasetBundle, config: ExperimentConfig) -> MethodRep
         scores=tuple(rank_methods(scores)),
         threshold=threshold,
         achieved_fraction=achieved,
-        abruptness=mean_abruptness,
+        abruptness=mean_abruptness(bundle.signals),
     )
     return aggregate_report([result], config=config.echo())
 

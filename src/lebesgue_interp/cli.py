@@ -74,7 +74,7 @@ def _parse_field(path: Path, what: str, parse, text: str, row: int):
         raise ParseError(f"{path}: cannot parse {what} {text!r} at row {row}", row=row) from None
 
 
-def _int64(text: str) -> int:
+def int64(text: str) -> int:
     value = int(text)
     if not -(2**63) <= value < 2**63:
         raise ValueError(f"{text!r} is outside the int64 range")
@@ -103,12 +103,12 @@ def _read_sampled(path: Path, length: int | None, threshold: float | None) -> Sa
             parts = line.split(",")
             if len(parts) != 2:
                 raise ParseError(f"{path}: expected 'index,value' at row {r}", row=r)
-            idx.append(_parse_field(path, "index", _int64, parts[0], r))
+            idx.append(_parse_field(path, "index", int64, parts[0], r))
             vals += parse_finite_fields(parts[1:], path, r, first_column=1)
     if length is None:
         if "source_length" not in meta:
             raise InvalidInputError(f"{path} has no source_length metadata; pass --length")
-        length = _parse_field(path, "source_length", _int64, *meta["source_length"])
+        length = _parse_field(path, "source_length", int64, *meta["source_length"])
     if threshold is None:
         threshold = _parse_field(path, "threshold", float, *meta.get("threshold", ("0", 0)))
     return SampledSeries(np.asarray(idx), np.asarray(vals), length, threshold)
@@ -135,7 +135,10 @@ def _cmd_reconstruct(args) -> int:
         subsequent_max_distance=args.max_dist,
     )
     _, plan, kernel = METHODS[args.method]
-    values = reconstruct_signal(plan, kernel, s, params)
+    try:
+        values = reconstruct_signal(plan, kernel, s, params)
+    except MemoryError:
+        raise InvalidInputError(f"source length {s.source_length} does not fit in memory") from None
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:  # the reconstruction itself exceeds the float64 range
         raise InvalidInputError(f"{args.method} output is not finite at index {int(bad[0])}")
@@ -223,7 +226,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", required=True, choices=sorted(METHODS))
     p.add_argument("--threshold", type=float, default=None,
                    help="event threshold; defaults to the file's metadata")
-    p.add_argument("--length", type=int, default=None,
+    p.add_argument("--length", type=int64, default=None,
                    help="original length; defaults to the file's metadata")
     p.add_argument("--tolerance-ratio", type=float, default=1.15)
     p.add_argument("--prev-dist", type=int, default=3)

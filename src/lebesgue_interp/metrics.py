@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -44,10 +45,33 @@ def abruptness(series: TimeSeries) -> float:
     """Population standard deviation of the first differences.
 
     Low values mean a smooth signal; a straight ramp scores exactly 0.
+    The result is ``inf`` only when the true value exceeds the float64 range.
     """
     if len(series) < 2:
         raise InvalidInputError("abruptness needs at least two points")
-    return float(np.std(np.diff(series.values)))
+    return _overflow_safe(lambda v: np.std(np.diff(v)), series.values)
+
+
+def mean_abruptness(signals: Sequence[TimeSeries]) -> float | None:
+    """Mean abruptness of the signals; None when one has fewer than two
+    points or the mean exceeds the float64 range."""
+    if any(len(ts) < 2 for ts in signals):
+        return None
+    mean = _overflow_safe(np.mean, np.array([abruptness(ts) for ts in signals]))
+    return mean if math.isfinite(mean) else None
+
+
+def _overflow_safe(stat, values: np.ndarray) -> float:
+    """``stat(values)`` for a statistic that scales with its input. When an
+    intermediate overflows, it runs again on values scaled by 2**-e, the
+    largest magnitude's exponent, and is scaled back. A finite first result
+    is kept as it is."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = stat(values)
+        if not np.isfinite(out):
+            e = int(np.frexp(np.max(np.abs(values)))[1])
+            out = np.ldexp(stat(np.ldexp(values, -e)), e)
+    return float(out)
 
 
 @dataclass(frozen=True)
@@ -90,9 +114,9 @@ def rank_methods(scores: Sequence[MethodScore]) -> list[MethodScore]:
 class DatasetResult:
     """Ranked method scores for one dataset plus the sampling context.
 
-    ``abruptness`` is the mean first-difference SD of the raw signals,
-    reported for context (its reference aggregation is not pinned down, so
-    nothing asserts against it).
+    ``abruptness`` is the mean first-difference SD of the raw signals, or
+    None (see ``mean_abruptness``), reported for context (its reference
+    aggregation is not pinned down, so nothing asserts against it).
     """
 
     dataset: str

@@ -23,6 +23,10 @@ __all__ = [
     "threshold_candidates",
 ]
 
+# Budget tuning reads its candidate grid in value buckets of at most this many
+# pairs, the only part of the grid held in memory at once.
+_BUCKET_PAIRS = 2**18
+
 
 @dataclass(frozen=True)
 class SampleBudget:
@@ -37,6 +41,11 @@ class SampleBudget:
             )
 
 
+def _check_threshold(threshold: float) -> None:
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise InvalidInputError(f"threshold must be finite and >= 0, got {threshold}")
+
+
 def lebesgue_sample(series: TimeSeries, threshold: float) -> SampledSeries:
     """Send-on-delta sampling: keep a point iff it moved >= threshold.
 
@@ -44,8 +53,7 @@ def lebesgue_sample(series: TimeSeries, threshold: float) -> SampledSeries:
     *kept* value, so every skipped point provably stays strictly inside the
     tolerated band around it. The final point is not force-captured.
     """
-    if not (math.isfinite(threshold) and threshold >= 0.0):
-        raise InvalidInputError(f"threshold must be finite and >= 0, got {threshold}")
+    _check_threshold(threshold)
     values = series.values.tolist()
     idx = [0]
     kept = [values[0]]
@@ -114,6 +122,129 @@ def _bundle_fraction(bundle: DatasetBundle, threshold: float) -> float:
     return total / len(bundle.signals)
 
 
+def _kept_fraction(signals: list[list[float]], threshold: float) -> float:
+    """``_bundle_fraction`` from each signal's kept count alone: the same
+    send-on-delta rule and the same sum, without building a SampledSeries."""
+    _check_threshold(threshold)
+    total = 0.0
+    for values in signals:
+        ref = values[0]
+        kept = 1
+        for v in values[1:]:
+            if abs(v - ref) >= threshold:
+                kept += 1
+                ref = v
+        total += kept / len(values)
+    return total / len(signals)
+
+
+class _DifferenceGrid:
+    """``threshold_candidates(bundle)`` read by rank, never built whole.
+
+    With each signal's sorted unique values in one array ``u``, the computed
+    difference ``u[j] - u[i]`` of a signal's pair i < j is non-decreasing in
+    j, so the pairs whose difference lies in a value interval (a, b] form one
+    contiguous j-range per i. One pass cuts (0, largest difference] into
+    buckets of at most ``_BUCKET_PAIRS`` pairs (or of one value), sorts each
+    in turn and keeps only its largest value and the running count of
+    distinct values. A rank then rebuilds the one bucket that holds it, so
+    memory is O(n + _BUCKET_PAIRS + N / _BUCKET_PAIRS) for n values and N
+    pairs, against O(N) for the whole grid.
+    """
+
+    def __init__(self, bundle: DatasetBundle):
+        parts = [np.unique(ts.values) for ts in bundle.signals]
+        sizes = np.array([p.size for p in parts])
+        starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+        self._parts, self._starts = parts, starts
+        self._u = np.concatenate(parts)
+        self._first = np.arange(1, self._u.size + 1)  # i's pairs run over [i + 1, end)
+        self._end = starts + np.repeat(sizes, sizes)
+        # tops[k] is the largest value of bucket k and ranks[k] its rank; 0.0 is rank 0
+        tops, ranks = [0.0], [0]
+        a, lo = 0.0, self._first
+        todo = [max(float(p[-1] - p[0]) for p in parts)]  # upper edges; the next on top
+        while todo:
+            b = todo[-1]
+            hi = self._ends(b)
+            count = int(np.sum(hi - lo))
+            if count > _BUCKET_PAIRS:
+                cuts = self._cuts(lo, hi, count, b)
+                below = float(np.nextafter(b, -np.inf))
+                if cuts or below > a:
+                    todo.extend(reversed(cuts or [below]))
+                    continue
+                tops.append(b)  # too many pairs, but all of them equal b
+                ranks.append(ranks[-1] + 1)
+            elif count:
+                values = self._distinct(lo, hi)
+                tops.append(float(values[-1]))
+                ranks.append(ranks[-1] + values.size)
+            todo.pop()
+            a, lo = b, hi
+        self._tops = np.array(tops)
+        self._ranks = np.array(ranks)
+        self._cached: tuple[int, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return int(self._ranks[-1]) + 1
+
+    def __getitem__(self, rank: int) -> float:
+        k = int(np.searchsorted(self._ranks, rank))
+        if self._ranks[k] == rank:
+            return float(self._tops[k])
+        if self._cached is None or self._cached[0] != k:
+            a, b = float(self._tops[k - 1]), float(self._tops[k])
+            self._cached = k, self._distinct(self._ends(a), self._ends(b))
+        return float(self._cached[1][rank - self._ranks[k - 1] - 1])
+
+    def _ends(self, b: float) -> np.ndarray:
+        """For each i, the first j of its signal with ``u[j] - u[i] > b``,
+        or the signal's end.
+
+        ``searchsorted`` on ``u[i] + b`` finds it up to rounding, which can
+        miss by many values where the sum cancels. Rows where the computed
+        difference disagrees bisect their whole j-range on it instead.
+        """
+        u, end = self._u, self._end
+        at = np.concatenate([np.searchsorted(p, p + b, "right") for p in self._parts])
+        at = np.maximum(at + self._starts, self._first)
+        # u[at - 1] - u is 0 when at = i + 1, and no threshold is below 0
+        ok = (u[at - 1] - u <= b) & ((at == end) | (u[np.minimum(at, u.size - 1)] - u > b))
+        bad = np.flatnonzero(~ok)
+        lo, hi, ui = self._first[bad], end[bad], u[bad]
+        while np.any(lo < hi):
+            mid = (lo + hi) // 2
+            below = u[np.minimum(mid, u.size - 1)] - ui <= b
+            lo, hi = np.where((lo < hi) & below, mid + 1, lo), np.where(below, hi, mid)
+        at[bad] = lo
+        return at
+
+    def _distinct(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The sorted distinct differences of the pairs i, [lo[i], hi[i])."""
+        k = hi - lo
+        total = np.cumsum(k)
+        d = self._u[np.arange(total[-1]) + np.repeat(lo - total + k, k)]
+        d -= np.repeat(self._u, k)
+        d.sort()
+        return d[np.append(True, d[1:] != d[:-1])]
+
+    def _cuts(self, lo: np.ndarray, hi: np.ndarray, count: int, b: float) -> list[float]:
+        """Values that split the pairs i, [lo[i], hi[i]) into pieces of about
+        half a bucket each, read off an evenly spaced sample of 32 pairs per
+        piece; the slack keeps most pieces under a bucket despite the sample's
+        error, and the few that are not get cut again."""
+        pieces = -(-2 * count // _BUCKET_PAIRS)
+        size = min(count, 32 * pieces)
+        k = hi - lo
+        total = np.cumsum(k)
+        at = (np.arange(size) * (count / size)).astype(np.int64)
+        i = np.searchsorted(total, at, "right")
+        sample = np.sort(self._u[lo[i] + at - total[i] + k[i]] - self._u[i])
+        cuts = np.unique(sample[np.arange(1, pieces) * size // pieces])
+        return cuts[cuts < b].tolist()
+
+
 def tune_threshold(bundle: DatasetBundle, budget: SampleBudget) -> tuple[float, float]:
     """Find the threshold that spends the budget without exceeding it.
 
@@ -128,16 +259,20 @@ def tune_threshold(bundle: DatasetBundle, budget: SampleBudget) -> tuple[float, 
     above it is tried: it exceeds every difference, so nothing fires after
     each signal's first point, which is the least any threshold keeps.
 
+    The grid is read by rank from value buckets (``_DifferenceGrid``), so
+    memory stays bounded however long the signals are.
+
     Returns (threshold, achieved_fraction). Raises InfeasibleBudgetError if
     even that threshold keeps too many points.
     """
     target = budget.target_fraction
-    cands = threshold_candidates(bundle)
+    cands = _DifferenceGrid(bundle)
+    signals = [ts.values.tolist() for ts in bundle.signals]
     lo, hi = 0, len(cands) - 1
-    hi_frac = _bundle_fraction(bundle, float(cands[hi]))
+    hi_frac = _kept_fraction(signals, cands[hi])
     if hi_frac > target:
         above = float(np.nextafter(cands[hi], np.inf))
-        least = _bundle_fraction(bundle, above)
+        least = _kept_fraction(signals, above)
         if least > target:
             raise InfeasibleBudgetError(
                 f"budget {target} infeasible: minimum achievable fraction is {least:.6g}",
@@ -146,9 +281,9 @@ def tune_threshold(bundle: DatasetBundle, budget: SampleBudget) -> tuple[float, 
         return above, least
     while lo < hi:
         mid = (lo + hi) // 2
-        mid_frac = _bundle_fraction(bundle, float(cands[mid]))
+        mid_frac = _kept_fraction(signals, cands[mid])
         if mid_frac <= target:
             hi, hi_frac = mid, mid_frac
         else:
             lo = mid + 1
-    return float(cands[hi]), hi_frac
+    return cands[hi], hi_frac

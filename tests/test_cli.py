@@ -160,6 +160,30 @@ class TestReconstructCommand:
         assert capsys.readouterr().err.startswith(f"error: {sampled}: cannot parse ")
         assert not recon.exists()
 
+    @pytest.mark.parametrize("length", ["100000000000000000000", "9223372036854775808"])
+    def test_length_option_outside_int64(self, tmp_path, capsys, length):
+        sampled = tmp_path / "s.csv"
+        sampled.write_text("# source_length=5 threshold=0.05\n0,0.0\n3,0.5\n")
+        recon = tmp_path / "r.csv"
+        assert main(["reconstruct", "--input", str(sampled), "--output", str(recon),
+                     "--method", "linear", "--length", length]) == 1
+        assert f"error: argument --length: invalid int64 value: '{length}'" in capsys.readouterr().err
+        assert not recon.exists()
+
+    @pytest.mark.parametrize("where", ["file", "option"])
+    def test_length_beyond_memory(self, tmp_path, capsys, where):
+        # inside int64, but 4 EiB of output: the allocation fails at once
+        length = 2**59
+        sampled = tmp_path / "s.csv"
+        sampled.write_text(f"# source_length={length if where == 'file' else 5} threshold=0.05\n"
+                           "0,0.0\n3,0.5\n")
+        recon = tmp_path / "r.csv"
+        extra = ["--length", str(length)] if where == "option" else []
+        assert main(["reconstruct", "--input", str(sampled), "--output", str(recon),
+                     "--method", "linear", *extra]) == 1
+        assert capsys.readouterr().err == f"error: source length {length} does not fit in memory\n"
+        assert not recon.exists()
+
     def test_missing_metadata_requires_length(self, tmp_path):
         sampled = tmp_path / "s.csv"
         sampled.write_text("index,value\n0,0.0\n3,0.5\n")
@@ -244,6 +268,18 @@ class TestBenchCommand:
             assert config["tolerance_ratio"] == "inf"
         else:
             assert not out.exists()
+
+    def test_abruptness_of_steps_beyond_the_float_range(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "Huge_TRAIN.tsv").write_text("1\t1e308\t-1e308\t1e308\t0.5\n")
+        (data / "Huger_TRAIN.tsv").write_text("1\t1e308\t-1e308\t1e308\t-1e308\n")
+        out = tmp_path / "rep"
+        assert main(["bench", "--data-dir", str(data), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        huge, huger = json.loads((out / "report.json").read_text())["datasets"]
+        assert huge["abruptness"] == pytest.approx(1.6996731711975948e308, rel=1e-15)
+        assert huger["abruptness"] is None  # the true value exceeds the float range
 
     def test_datasets_sharing_a_file_name_rejected(self, tmp_path, capsys):
         for sub in ("a", "b"):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lebesgue_interp import (
     rank_methods,
     rmse,
 )
+from lebesgue_interp.metrics import mean_abruptness
 from oracles import population_sd, rmse_plain
 
 # quantized so squared differences cannot underflow to zero, which would
@@ -74,6 +76,23 @@ class TestAbruptness:
     def test_too_short_rejected(self, ts):
         with pytest.raises(InvalidInputError):
             abruptness(ts([1.0]))
+
+    def test_steps_beyond_the_float_range(self, ts):
+        # consecutive values 2e308 apart: the differences themselves overflow
+        values = [1e308, -1e308, 1e308, 0.5]
+        d = [Fraction(b) - Fraction(a) for a, b in zip(values, values[1:])]
+        mean = sum(d) / len(d)
+        var = sum((x - mean) ** 2 for x in d) / len(d)
+        want = math.ldexp(math.sqrt(var / 4**1024), 1024)  # float(var) would overflow
+        got = abruptness(ts(values))
+        assert got == pytest.approx(want, rel=1e-15)
+        assert mean_abruptness([ts(values), ts(values)]) == got  # the sum of two overflows
+
+    def test_mean_beyond_the_float_range_is_none(self, ts):
+        # SD of the differences -2e308, 2e308, -2e308 is about 1.9e308
+        assert abruptness(ts([1e308, -1e308, 1e308, -1e308])) == math.inf
+        assert mean_abruptness([ts([1e308, -1e308, 1e308, -1e308])]) is None
+        assert mean_abruptness([ts([0.0, 1.0]), ts([1.0])]) is None
 
     @given(rmse_vectors.filter(lambda v: len(v) >= 2), st.floats(-100, 100, allow_nan=False))
     @settings(max_examples=100)

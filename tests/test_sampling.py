@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from lebesgue_interp import (
     threshold_candidates,
     tune_threshold,
 )
+from lebesgue_interp import sampling
+from lebesgue_interp.sampling import _bundle_fraction, _DifferenceGrid, _kept_fraction
 from oracles import points, trace_send_on_delta
 
 
@@ -234,3 +237,114 @@ class TestTuneThreshold:
         assert frac <= target
         if i > 0:
             assert fracs[i - 1] > target  # immediate predecessor busts the budget
+
+
+def bisect_candidate_grid(bundle, target):
+    """The tuning bisection over the whole grid ``threshold_candidates`` builds."""
+    cands = threshold_candidates(bundle)
+    lo, hi = 0, len(cands) - 1
+    hi_frac = _bundle_fraction(bundle, float(cands[hi]))
+    if hi_frac > target:
+        above = float(np.nextafter(cands[hi], np.inf))
+        least = _bundle_fraction(bundle, above)
+        return ("infeasible", least) if least > target else (above, least)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        mid_frac = _bundle_fraction(bundle, float(cands[mid]))
+        if mid_frac <= target:
+            hi, hi_frac = mid, mid_frac
+        else:
+            lo = mid + 1
+    return float(cands[hi]), hi_frac
+
+
+@contextmanager
+def bucket_pairs(size):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_BUCKET_PAIRS", size)
+        yield
+
+
+@st.composite
+def signal_values(draw):
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["lattice", "ulps", "wide", "constant"]))
+    if kind == "lattice":  # many pairs share one difference
+        step = draw(st.sampled_from([0.1, 0.01, 0.25, 3.0]))
+        return [k * step for k in draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n))]
+    if kind == "ulps":  # neighbouring floats, where rounding decides every comparison
+        base = draw(st.floats(-2.0, 2.0))
+        ks = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+        return (base + np.spacing(base) * np.array(ks, dtype=float)).tolist()
+    if kind == "wide":
+        return draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+    return [draw(st.floats(-1e6, 1e6))] * n
+
+
+bundles = st.lists(signal_values(), min_size=1, max_size=5).map(
+    lambda signals: DatasetBundle("b", tuple(TimeSeries(v) for v in signals))
+)
+
+
+class TestBoundedTuning:
+    """``tune_threshold`` reads the grid from value buckets; with the bucket
+    size patched small, every bundle spans many buckets."""
+
+    @given(bundle=bundles, target=st.floats(0.01, 1.0), size=st.sampled_from([1, 2, 5, 40]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_bisection_over_whole_grid(self, bundle, target, size):
+        want = bisect_candidate_grid(bundle, target)
+        with bucket_pairs(size):
+            if want[0] == "infeasible":
+                with pytest.raises(InfeasibleBudgetError) as err:
+                    tune_threshold(bundle, SampleBudget(target))
+                assert err.value.min_achievable_fraction == want[1]
+            else:
+                assert tune_threshold(bundle, SampleBudget(target)) == want
+
+    @given(bundle=bundles, size=st.sampled_from([1, 3, 40]))
+    @settings(max_examples=200, deadline=None)
+    def test_grid_read_by_rank(self, bundle, size):
+        with bucket_pairs(size):
+            grid = _DifferenceGrid(bundle)
+            got = [grid[r] for r in range(len(grid))]
+        assert got == threshold_candidates(bundle).tolist()
+
+    def test_sums_that_cancel(self):
+        # u[0] + 1 is exactly 2**-53, yet u[j] - u[0] rounds to 1 for the two
+        # values above it too: a search on the sum alone would put those pairs
+        # in the bucket above 1 and count the value 1 twice
+        base = 2.0**-53
+        values = [-1 + base, base, base + 2.0**-60, base + 2.0**-55, 2.0]
+        bundle = DatasetBundle("b", (TimeSeries(values),))
+        for size in (1, 2, 40):
+            with bucket_pairs(size):
+                grid = _DifferenceGrid(bundle)
+                assert [grid[r] for r in range(len(grid))] == threshold_candidates(bundle).tolist()
+
+    def test_walks_across_default_buckets(self):
+        # 2 x 1200 points hold about 1.4M pairs: several buckets at the real size
+        bundle = generate_synthetic_corpus(9, {"walk": 2}, 1200)
+        for target in (0.05, 0.15, 0.5):
+            assert tune_threshold(bundle, SampleBudget(target)) == bisect_candidate_grid(bundle, target)
+
+    @given(bundle=bundles, q=st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_count_only_fraction_is_bit_identical(self, bundle, q):
+        cands = threshold_candidates(bundle)
+        signals = [ts.values.tolist() for ts in bundle.signals]
+        for t in (float(cands[int(q * (cands.size - 1))]), q, float(cands[-1])):
+            assert _kept_fraction(signals, t) == _bundle_fraction(bundle, t)
+
+    def test_peak_memory_does_not_grow_with_length(self):
+        def peak(n):
+            bundle = generate_synthetic_corpus(3, {"walk": 2}, n)
+            tracemalloc.start()
+            try:
+                tune_threshold(bundle, SampleBudget(0.15))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 16x the pairs of the short run, which already fills a few buckets
+        assert peak(4000) <= 1.5 * peak(1000)
