@@ -7,13 +7,15 @@ kernel maps (x, y, first, j), j[g] being the last knot at or before grid
 point g, to values that reproduce the knots; ``reconstruct_block`` then
 holds each signal's last knot value to its end (under send-on-delta sampling
 the un-fired tail provably stays in the last tolerated band, so holding
-minimizes the worst case). A baseline is a kernel over one signal's kept
-points; ``zelic`` adds knot plans.
+minimizes the worst case). It builds a plan's knots, grid map and tail hold
+once and runs every kernel given over them in turn. A baseline is a kernel
+over one signal's kept points; ``zelic`` adds knot plans.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 
@@ -36,9 +38,9 @@ def hold_kernel(x, y, first, j):
 
 def nearest_kernel(x, y, first, j):
     """The nearest knot's value; ties go to the earlier knot."""
-    nxt = np.minimum(j + 1, x.size - 1)
-    # g <= floor(midpoint) is nearer to (or tied with) the earlier knot
-    return y[np.where(np.arange(j.size) > (x[j] + x[nxt]) // 2, nxt, j)]
+    # g <= floor(midpoint) is nearer to (or tied with) the earlier knot; none follows the last
+    mid = np.append((x[:-1] + x[1:]) // 2, j.size)
+    return y[j + (np.arange(j.size) > mid[j])]
 
 
 def chord_kernel(x, y, first, j):
@@ -50,15 +52,11 @@ def chord_kernel(x, y, first, j):
 
 
 def cubic_kernel(x, y, first, j):
-    """Shape-preserving piecewise cubic; a signal with one knot is held.
-
-    The cubic is evaluated with the signals' knot spans laid end to end
-    (each tail, which is held anyway, shifted out), then mapped back.
-    """
+    """Shape-preserving piecewise cubic; a signal with one knot is held. The
+    cubic also spans each held tail, which the tail hold then overwrites."""
     out = np.empty(j.size, dtype=np.float64)
-    shift = np.cumsum(np.where(first, np.diff(x, prepend=x[0] - 1) - 1, 0))
-    hermite_fill(out, x - shift, y, fritsch_carlson_slopes(x, y, first))
-    return out[np.arange(j.size) - shift[j]]
+    hermite_fill(out, x, y, fritsch_carlson_slopes(x, y, first))
+    return out
 
 
 def fritsch_carlson_slopes(x: np.ndarray, y: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -101,56 +99,81 @@ def fritsch_carlson_slopes(x: np.ndarray, y: np.ndarray, first: np.ndarray) -> n
 def hermite_fill(out: np.ndarray, x: np.ndarray, y: np.ndarray, m: np.ndarray) -> None:
     """Evaluate the piecewise cubic Hermite interpolant on the integer grid.
 
-    Fills out[x[0] .. x[-1]] inclusive; knot values are written exactly.
+    Fills out[x[0] .. x[-1]] inclusive; knot values are written exactly. Each
+    point is ((h00 y_k + (h h10) m_k) + h01 y_k+1) + (h h11) m_k+1, summed in place.
     """
     x = np.asarray(x, dtype=np.int64)
     lo, hi = int(x[0]), int(x[-1])
+    acc = out[lo:hi]
     dx = np.diff(x)
     j = np.repeat(np.arange(dx.size), dx)
-    h = dx.astype(np.float64)[j]
-    t = (np.arange(lo, hi) - x[j]) / h
-    tm2 = (1.0 - t) ** 2
-    h00 = (1.0 + 2.0 * t) * tm2
-    h10 = t * tm2
-    h01 = t * t * (3.0 - 2.0 * t)
-    h11 = t * t * (t - 1.0)
-    out[lo:hi] = h00 * y[j] + h * h10 * m[j] + h01 * y[j + 1] + h * h11 * m[j + 1]
+    h = dx.astype(np.float64)  # per interval, gathered where used
+    t = (np.arange(lo, hi) - x[j]) / h[j]
+    w = np.square(1.0 - t)
+    np.multiply(1.0 + 2.0 * t, w, out=acc)  # h00
+    acc *= y[j]
+    w *= t  # h10
+    w *= h[j]
+    w *= m[j]
+    acc += w
+    np.square(t, out=w)  # t^2
+    h01 = np.subtract(3.0, 2.0 * t)
+    h01 *= w
+    h01 *= y[1:][j]  # y[1:][j] is y[j + 1] without the index temporary
+    acc += h01
+    del h01
+    t -= 1.0
+    t *= w  # h11
+    t *= h[j]
+    t *= m[1:][j]
+    acc += t
     out[x] = y
 
 
-def reconstruct_block(plan, kernel, x, y, first, n: int, params=None) -> np.ndarray:
-    """A block's n grid values: ``kernel`` over the knots ``plan`` makes,
-    (x, y, first, params) -> (x, y, first), or over the kept points alone,
-    then each signal's last knot value held to its end.
+def reconstruct_block(plan, kernels, x, y, first, n: int, params=None):
+    """Each kernel's n grid values for a block, in turn: the kernel over the
+    knots ``plan`` makes, (x, y, first, params) -> (x, y, first), or over the
+    kept points alone, then each signal's last knot value held to its end.
+    The plan, its grid map and its tail hold are built once for all kernels.
 
-    Where knot differences overflow and the output is not finite, the block
-    runs again with values and threshold scaled by 2**-e, 2**e > 16 n, so
-    no term (at most a few grid lengths times a knot difference) overflows,
-    and is scaled back. Power-of-two scaling commutes with rounding outside
-    the subnormal range, so this gives what an unbounded float range would.
+    Where knot differences overflow and a kernel's output is not finite, that
+    kernel alone runs again on the plan made from values and threshold scaled
+    by 2**-e, 2**e > 16 n, so no term (at most a few grid lengths times a knot
+    difference) overflows, and is scaled back. Power-of-two scaling commutes
+    with rounding outside the subnormal range, so this gives what an unbounded
+    float range would.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        for scale in (1.0, 2.0 ** -(int(n).bit_length() + 4)):
-            kx, ky, kfirst = x, y * scale, first
-            if plan is not None:
-                scaled = replace(params, threshold=params.threshold * scale)
-                kx, ky, kfirst = plan(kx, ky, kfirst, scaled)
-            j = np.repeat(np.arange(kx.size), np.diff(kx, append=n))
-            out = kernel(kx, ky, kfirst, j)
-            tail = np.append(kfirst[1:], True)[j]
-            out[tail] = ky[j[tail]]
-            if np.isfinite(out).all():
-                break
-        if scale != 1.0:
-            out /= scale
-            out[x] = y
-    return out
+
+    @cache
+    def knots(scale):
+        kx, ky, kfirst = x, y * scale, first
+        if plan is not None:
+            scaled = replace(params, threshold=params.threshold * scale)
+            kx, ky, kfirst = plan(kx, ky, kfirst, scaled)
+        j = np.repeat(np.arange(kx.size), np.diff(kx, append=n))
+        tail = np.append(kfirst[1:], True)[j]
+        return (kx, ky, kfirst, j), tail, ky[j[tail]]
+
+    for kernel in kernels:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for scale in (1.0, 2.0 ** -(int(n).bit_length() + 4)):
+                args, tail, held = knots(scale)
+                out = kernel(*args)
+                out[tail] = held
+                if np.isfinite(out).all():
+                    break
+            if scale != 1.0:
+                out /= scale
+                out[x] = y
+        yield out
+        del out  # the consumer holds the only reference now; let it go before the next kernel
 
 
 def reconstruct_signal(plan, kernel, s: SampledSeries, params=None) -> np.ndarray:
     """One sampled signal, reconstructed as a block of one."""
     first = np.arange(len(s)) == 0
-    return reconstruct_block(plan, kernel, s.indices, s.values, first, s.source_length, params)
+    return next(reconstruct_block(plan, [kernel], s.indices, s.values, first, s.source_length,
+                                  params))
 
 
 def interp_zoh(s: SampledSeries) -> np.ndarray:

@@ -68,7 +68,7 @@ METHODS: dict[str, tuple[str, Callable | None, Callable]] = {
 
 # Grid points per block of signals that the scorer reconstructs at once; a
 # longer signal is a block by itself. Kernel temporaries scale with a block.
-BLOCK_POINTS = 3072
+BLOCK_POINTS = 12288
 
 
 class ExperimentMode(Enum):
@@ -193,11 +193,8 @@ def load_ucr_dataset(
 
     if name is None:
         stem = train_path.stem
-        for suffix in ("_TRAIN", "_TEST", "_train", "_test"):
-            if stem.endswith(suffix):
-                stem = stem[: -len(suffix)]
-                break
-        name = stem
+        ends = [s for s in ("_TRAIN", "_TEST", "_train", "_test") if stem.endswith(s)]
+        name = stem[: -len(ends[0])] if ends else stem
     return DatasetBundle(name=name, signals=tuple(TimeSeries(r) for r in rows))
 
 
@@ -339,9 +336,13 @@ def _score_sampled(
     methods: Sequence[str],
     prefix: str,
 ) -> list[MethodScore]:
-    """Each method's per-signal RMSE, one kernel call per method and block;
-    every signal must reproduce its kept points exactly."""
+    """Each method's per-signal RMSE. Each block runs each knot plan once and
+    every kernel of that plan over it in turn; every signal must reproduce
+    its kept points exactly."""
     table: dict[str, list[float]] = {m: [] for m in methods}
+    by_plan: dict[Callable | None, list[str]] = {}
+    for m in methods:
+        by_plan.setdefault(METHODS[m][1], []).append(m)
     for lo, hi in _blocks([s.source_length for s in sampled]):
         block = sampled[lo:hi]
         bounds = np.cumsum([0] + [s.source_length for s in block])
@@ -351,16 +352,19 @@ def _score_sampled(
         first = np.zeros(x.size, dtype=bool)
         first[knots[:-1]] = True
         v = np.concatenate([ts.values for ts in signals[lo:hi]])
-        for m in methods:
-            _, plan, kernel = METHODS[m]
-            out = reconstruct_block(plan, kernel, x, y, first, int(bounds[-1]), params)
-            off = np.flatnonzero(out[x] != y)
-            if off.size:
-                i = lo + int(np.searchsorted(knots, off[0], side="right")) - 1
-                raise AssertionError(
-                    f"method {m!r} failed the interpolation condition on signal {i}"
-                )
-            table[m] += rmse_per_signal(v, out, bounds)
+        for plan, group in by_plan.items():
+            kernels = [METHODS[m][2] for m in group]
+            outs = reconstruct_block(plan, kernels, x, y, first, int(bounds[-1]), params)
+            for m in group:
+                out = next(outs)
+                off = np.flatnonzero(out[x] != y)
+                if off.size:
+                    i = lo + int(np.searchsorted(knots, off[0], side="right")) - 1
+                    raise AssertionError(
+                        f"method {m!r} failed the interpolation condition on signal {i}"
+                    )
+                table[m] += rmse_per_signal(v, out, bounds)
+                del out  # scored: free it before the next kernel runs
     return [MethodScore(prefix + METHODS[m][0], tuple(table[m])) for m in methods]
 
 
@@ -473,15 +477,14 @@ def emit_report(report: MethodReport, out_dir: str | os.PathLike) -> list[Path]:
         raise InvalidInputError("report has no methods")
     out = Path(out_dir)
     methods = list(report.method_names)
-    tables: dict[str, DatasetResult] = {}
+    files: dict[str, list[list]] = {}  # CSV file name -> rows
     for d in report.datasets:
-        safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in d.dataset)
-        if safe in tables:
-            raise InvalidInputError(
-                f"datasets {tables[safe].dataset!r} and {d.dataset!r} "
-                f"would both write {safe}_rmse.csv"
-            )
-        tables[safe] = d
+        name = "".join(c if c.isalnum() or c in "-_" else "_" for c in d.dataset) + "_rmse.csv"
+        if name in files:
+            first = files[name][1][0]
+            raise InvalidInputError(f"datasets {first!r} and {d.dataset!r} would both write {name}")
+        files[name] = [["dataset", *methods],
+                       [d.dataset, *(_fmt(d.score_for(m).mean_rmse) for m in methods)]]
 
     payload = {
         "config": dict(report.config) if report.config else None,
@@ -515,35 +518,17 @@ def emit_report(report: MethodReport, out_dir: str | os.PathLike) -> list[Path]:
     }
     text = _json_text(payload) + "\n"
 
+    files["summary.csv"] = [["method", "mean_rmse", "mean_rank", "wins"]] + [
+        [s.method_name, _fmt(s.mean_rmse), _fmt(s.mean_rank), s.wins] for s in report.summary
+    ]
+    files["boxplot_long.csv"] = [["dataset", "method", "rmse", "rank"]] + [
+        [d.dataset, m, _fmt(d.score_for(m).mean_rmse), d.score_for(m).rank_position]
+        for d in report.datasets
+        for m in methods
+    ]
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for safe, d in tables.items():
-        path = out / f"{safe}_rmse.csv"
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["dataset", *methods])
-            w.writerow([d.dataset, *(_fmt(d.score_for(m).mean_rmse) for m in methods)])
-        written.append(path)
-
-    path = out / "summary.csv"
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "mean_rmse", "mean_rank", "wins"])
-        for s in report.summary:
-            w.writerow([s.method_name, _fmt(s.mean_rmse), _fmt(s.mean_rank), s.wins])
-    written.append(path)
-
-    path = out / "boxplot_long.csv"
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["dataset", "method", "rmse", "rank"])
-        for d in report.datasets:
-            for m in methods:
-                sc = d.score_for(m)
-                w.writerow([d.dataset, m, _fmt(sc.mean_rmse), sc.rank_position])
-    written.append(path)
-
-    path = out / "report.json"
-    path.write_text(text)
-    written.append(path)
-    return written
+    for name, rows in files.items():
+        with (out / name).open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    (out / "report.json").write_text(text)
+    return [out / name for name in [*files, "report.json"]]

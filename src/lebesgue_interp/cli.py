@@ -136,6 +136,8 @@ def _cmd_reconstruct(args) -> int:
     )
     _, plan, kernel = METHODS[args.method]
     try:
+        if s.source_length > sys.maxsize // 8:  # numpy refuses float64 arrays this long outright
+            raise MemoryError
         values = reconstruct_signal(plan, kernel, s, params)
     except MemoryError:
         raise InvalidInputError(f"source length {s.source_length} does not fit in memory") from None
@@ -200,12 +202,9 @@ def _cmd_bench(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = run_all_checks()
-    failed = 0
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name}: {r.detail}")
-        failed += 0 if r.passed else 1
-    return 0 if failed == 0 else 1
+        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
+    return 0 if all(r.passed for r in results) else 1
 
 
 def _build_parser() -> _Parser:

@@ -114,17 +114,9 @@ def threshold_candidates(bundle: DatasetBundle) -> np.ndarray:
     return np.unique(np.concatenate(parts))
 
 
-def _bundle_fraction(bundle: DatasetBundle, threshold: float) -> float:
-    """Mean over signals of retained-count / length at one threshold."""
-    total = 0.0
-    for ts in bundle.signals:
-        total += lebesgue_sample(ts, threshold).fraction
-    return total / len(bundle.signals)
-
-
 def _kept_fraction(signals: list[list[float]], threshold: float) -> float:
-    """``_bundle_fraction`` from each signal's kept count alone: the same
-    send-on-delta rule and the same sum, without building a SampledSeries."""
+    """Mean over signals of kept count / length at one threshold, from each
+    signal's kept count alone, without building a SampledSeries."""
     _check_threshold(threshold)
     total = 0.0
     for values in signals:
@@ -154,6 +146,10 @@ class _DifferenceGrid:
 
     def __init__(self, bundle: DatasetBundle):
         parts = [np.unique(ts.values) for ts in bundle.signals]
+        spans = [float(p[-1]) - float(p[0]) for p in parts]  # Python floats overflow quietly
+        if math.isinf(max(spans)):
+            raise InvalidInputError(f"dataset {bundle.name!r}: the values of signal "
+                                    f"{spans.index(math.inf)} span more than float64; normalize first")
         sizes = np.array([p.size for p in parts])
         starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
         self._parts, self._starts = parts, starts
@@ -163,7 +159,7 @@ class _DifferenceGrid:
         # tops[k] is the largest value of bucket k and ranks[k] its rank; 0.0 is rank 0
         tops, ranks = [0.0], [0]
         a, lo = 0.0, self._first
-        todo = [max(float(p[-1] - p[0]) for p in parts)]  # upper edges; the next on top
+        todo = [max(spans)]  # upper edges; the next on top
         while todo:
             b = todo[-1]
             hi = self._ends(b)
@@ -207,7 +203,8 @@ class _DifferenceGrid:
         difference disagrees bisect their whole j-range on it instead.
         """
         u, end = self._u, self._end
-        at = np.concatenate([np.searchsorted(p, p + b, "right") for p in self._parts])
+        with np.errstate(over="ignore"):  # p + b past float max: the row ends at its signal's end
+            at = np.concatenate([np.searchsorted(p, p + b, "right") for p in self._parts])
         at = np.maximum(at + self._starts, self._first)
         # u[at - 1] - u is 0 when at = i + 1, and no threshold is below 0
         ok = (u[at - 1] - u <= b) & ((at == end) | (u[np.minimum(at, u.size - 1)] - u > b))

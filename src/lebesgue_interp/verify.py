@@ -106,14 +106,10 @@ def monte_carlo_convexity_area(samples: int, seed: int, threshold: float = 1.0) 
     if threshold == 0.0:
         return 0.0
     rng = np.random.default_rng(seed)
-    x0, x1 = 0.0, 1.0
-    y0 = 0.0
-    t = threshold
-    x = rng.uniform(x0, x1, size=samples)
-    y = rng.uniform(y0 - t, y0 + t, size=samples)
-    chord = y0 + t * (x - x0) / (x1 - x0)  # rises from y0 to y0 + t
-    hits = np.count_nonzero((y > chord) & (y < y0 + t))
-    return hits / samples
+    x = rng.uniform(0.0, 1.0, size=samples)  # the box [0, 1] x [-t, t] around y_i = 0
+    y = rng.uniform(-threshold, threshold, size=samples)
+    chord = threshold * x  # rises from 0 to t
+    return np.count_nonzero((y > chord) & (y < threshold)) / samples
 
 
 def _walk_cases(seed: int, count: int):

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from lebesgue_interp import lebesgue_sample
 from lebesgue_interp.verify import chord_exits_band, trace_send_on_delta  # noqa: F401
 
 
@@ -145,6 +146,33 @@ def pchip_loop(knots, length):
                       + t * t * (3.0 - 2.0 * t) * y[k + 1] + hk * (t * t * (t - 1.0)) * m[k + 1])
         out[i0] = y[k]
     out[int(x[-1])] = y[-1]
+    return out
+
+
+def bundle_fraction(bundle, threshold):
+    """Mean over signals of retained-count / length at one threshold, from
+    full SampledSeries, summed in order (``sum`` compensates float sums from
+    Python 3.12)."""
+    total = 0.0
+    for ts in bundle.signals:
+        total += lebesgue_sample(ts, threshold).fraction
+    return total / len(bundle.signals)
+
+
+def hermite_closed_form(x, y, m):
+    """The cubic Hermite interpolant on x[0] .. x[-1], written as the sum of
+    the four basis functions over the whole span at once; knots exact."""
+    x = np.asarray(x, dtype=np.int64)
+    dx = np.diff(x)
+    j = np.repeat(np.arange(dx.size), dx)
+    h = dx.astype(np.float64)[j]
+    t = (np.arange(x[0], x[-1]) - x[j]) / h
+    h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
+    h10 = t * (1.0 - t) ** 2
+    h01 = t * t * (3.0 - 2.0 * t)
+    h11 = t * t * (t - 1.0)
+    out = np.append(h00 * y[j] + h * h10 * m[j] + h01 * y[j + 1] + h * h11 * m[j + 1], 0.0)
+    out[x - x[0]] = y
     return out
 
 

@@ -20,8 +20,8 @@ from lebesgue_interp import (
 )
 from lebesgue_interp.baselines import interp_pchip
 from lebesgue_interp.cli import main as cli_main
-from lebesgue_interp.sampling import _bundle_fraction
 from conftest import find_ucr_dataset, make_sampled
+from oracles import bundle_fraction
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -137,7 +137,7 @@ def test_criterion_8_budget_compliance():
         t, frac = tune_threshold(bundle, SampleBudget(target))
         cands = threshold_candidates(bundle)
         i = int(np.searchsorted(cands, t))
-        prev_ok = i == 0 or _bundle_fraction(bundle, float(cands[i - 1])) > target
+        prev_ok = i == 0 or bundle_fraction(bundle, float(cands[i - 1])) > target
         if frac > target or not prev_ok:
             failures.append((d, t, frac, prev_ok))
     report(

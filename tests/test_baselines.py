@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +11,9 @@ from lebesgue_interp import (
 )
 from lebesgue_interp import baselines
 from lebesgue_interp.baselines import fritsch_carlson_slopes
+from lebesgue_interp.zelic import TURNS
 from conftest import PER_SIGNAL, make_sampled
-from oracles import linear_pointwise, nearest_pointwise, points, zoh_pointwise
+from oracles import hermite_closed_form, linear_pointwise, nearest_pointwise, points, zoh_pointwise
 
 
 def random_knots(rng, max_index=60, max_knots=10):
@@ -204,18 +203,32 @@ class TestPchip:
         assert got.tobytes() == np.concatenate(want).tobytes()
 
     def test_block_cubic_skips_signal_tails(self):
-        # the Hermite pass covers each signal's knot span, not the held tails
+        # the Hermite pass also runs over the held tails; the tail hold overwrites them
         signals = [make_sampled([0, 2], [0.1, 0.9], 7), make_sampled([0], [0.4], 3)]
         signals += [make_sampled([0, 1, 4], [0.5, 0.2, 0.7], 9), make_sampled([0, 3], [0.3, 0.6], 4)]
         offsets = np.cumsum([0] + [s.source_length for s in signals])
         x = np.concatenate([s.indices + o for s, o in zip(signals, offsets)])
         y = np.concatenate([s.values for s in signals])
         first = np.isin(x, offsets)
-        with mock.patch.object(baselines, "hermite_fill", wraps=baselines.hermite_fill) as fill:
-            out = baselines.reconstruct_block(None, baselines.cubic_kernel, x, y, first, offsets[-1])
-        spans = fill.call_args.args[1]
-        assert spans[-1] - spans[0] + 1 == sum(int(s.indices[-1]) + 1 for s in signals)
+        (out,) = baselines.reconstruct_block(None, [baselines.cubic_kernel], x, y, first,
+                                             offsets[-1])
         want = np.concatenate([interp_pchip(s) for s in signals])
+        assert out.tobytes() == want.tobytes()
+
+    @given(
+        knots=st.lists(st.tuples(st.integers(1, 40), st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+                       min_size=1, max_size=12),
+        lo=st.integers(0, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hermite_fill_equals_closed_form(self, knots, lo):
+        gaps, y, m = (np.array(c) for c in zip(*knots))
+        x = lo + np.concatenate([[0], np.cumsum(gaps[1:])])
+        y, m = y.astype(np.float64), m.astype(np.float64)
+        out = np.full(int(x[-1]) + 3, np.nan)
+        baselines.hermite_fill(out, x, y, m)
+        want = out.copy()
+        want[lo : x[-1] + 1] = hermite_closed_form(x, y, m)
         assert out.tobytes() == want.tobytes()
 
 
@@ -249,6 +262,33 @@ class TestOverflowRetry:
         want = PER_SIGNAL[method](small, ReconstructionParams(0.05 * scale)) / scale
         assert np.all(np.isfinite(got))
         assert got.tobytes() == want.tobytes()
+
+    # with turn knots, the planted values themselves overflow, so every kernel reruns
+    @pytest.mark.parametrize("plan, runs", [(None, [1, 2, 1, 2]), (TURNS, [2, 2, 2, 2])])
+    def test_only_the_overflowing_kernel_reruns(self, plan, runs):
+        # one plan, every kernel over it in turn: each output is that kernel's
+        # run alone, and only the kernels whose output overflowed run twice
+        s = make_sampled([0, 5, 10, 14], [1e308, -1e308, 1e308, 0.0], 17)
+        first = np.arange(len(s)) == 0
+        kernels = [baselines.hold_kernel, baselines.chord_kernel, baselines.nearest_kernel,
+                   baselines.cubic_kernel]
+        calls = {k: 0 for k in kernels}
+
+        def counted(kernel):
+            def run(*args):
+                calls[kernel] += 1
+                return kernel(*args)
+            return run
+
+        params = ReconstructionParams(0.05, 1.15, 1, 1)
+        outs = baselines.reconstruct_block(
+            plan, [counted(k) for k in kernels], s.indices, s.values, first, 17, params)
+        for kernel, out in zip(kernels, outs):
+            (alone,) = baselines.reconstruct_block(
+                plan, [kernel], s.indices, s.values, first, 17, params)
+            assert np.all(np.isfinite(out))
+            assert out.tobytes() == alone.tobytes()
+        assert [calls[k] for k in kernels] == runs
 
     @given(seed=st.integers(0, 2**32 - 1), magnitude=st.sampled_from([1e-5, 1.0, 1e4]),
            power=st.integers(-60, 60))

@@ -301,6 +301,33 @@ class TestBlockedScoring:
         peak(50)  # warm-up: first-call allocations are not the scorer's
         assert peak(400) <= 1.5 * peak(50)
 
+    def test_one_block_peak_memory(self):
+        # one full block of walks: each plan's knots, grid map and tail hold,
+        # one kernel output at a time and the kernel's own temporaries
+        bundle = generate_synthetic_corpus(5, {"walk": bench.BLOCK_POINTS // 512}, length=512)
+        sampled = [lebesgue_sample(ts, 0.05) for ts in bundle.signals]
+        params = ReconstructionParams(0.05)
+        for _ in range(2):  # the first call's allocations are not the scorer's
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                bench._score_sampled(bundle.signals, sampled, params, tuple(METHODS), "")
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak <= 14 * 8 * bench.BLOCK_POINTS
+
+    @pytest.mark.parametrize("mode", list(ExperimentMode))
+    def test_reports_do_not_depend_on_block_size(self, tmp_path, mode):
+        bundles = [generate_synthetic_corpus(5, {"walk": 6, "sine": 6, "triangle": 6}, 400)]
+        config = ExperimentConfig(mode=mode)
+        files = {}
+        for block in (64, bench.BLOCK_POINTS):
+            with mock.patch.object(bench, "BLOCK_POINTS", block):
+                paths = emit_report(run_benchmark(bundles, config), tmp_path / str(block))
+            files[block] = {p.name: p.read_bytes() for p in paths}
+        assert files[64] == files[bench.BLOCK_POINTS]
+
 
 class TestEmitReport:
     def _report(self):

@@ -184,6 +184,20 @@ class TestReconstructCommand:
         assert capsys.readouterr().err == f"error: source length {length} does not fit in memory\n"
         assert not recon.exists()
 
+    @pytest.mark.parametrize("where", ["file", "option"])
+    def test_length_past_array_size_limit(self, tmp_path, capsys, where):
+        # the largest int64: numpy refuses the allocation before trying it
+        length = 2**63 - 1
+        sampled = tmp_path / "s.csv"
+        sampled.write_text(f"# source_length={length if where == 'file' else 5} threshold=0.05\n"
+                           "0,0.0\n3,0.5\n")
+        recon = tmp_path / "r.csv"
+        extra = ["--length", str(length)] if where == "option" else []
+        assert main(["reconstruct", "--input", str(sampled), "--output", str(recon),
+                     "--method", "pchip", *extra]) == 1
+        assert capsys.readouterr().err == f"error: source length {length} does not fit in memory\n"
+        assert not recon.exists()
+
     def test_missing_metadata_requires_length(self, tmp_path):
         sampled = tmp_path / "s.csv"
         sampled.write_text("index,value\n0,0.0\n3,0.5\n")

@@ -19,8 +19,8 @@ from lebesgue_interp import (
     tune_threshold,
 )
 from lebesgue_interp import sampling
-from lebesgue_interp.sampling import _bundle_fraction, _DifferenceGrid, _kept_fraction
-from oracles import points, trace_send_on_delta
+from lebesgue_interp.sampling import _DifferenceGrid, _kept_fraction
+from oracles import bundle_fraction, points, trace_send_on_delta
 
 
 class TestLebesgueSample:
@@ -175,6 +175,13 @@ class TestTuneThreshold:
         bundle = DatasetBundle("b", (ts(values),))
         assert tune_threshold(bundle, SampleBudget(0.5)) == want
 
+    def test_values_spanning_more_than_float64_rejected(self, ts):
+        # the largest difference overflows: say so before the grid pass, warning-free
+        bundle = DatasetBundle("wide", (ts([0.0, 0.5, 1.0]), ts([1e308, 0.0, -1e308])))
+        msg = "dataset 'wide': the values of signal 1 span more than float64; normalize first"
+        with pytest.raises(InvalidInputError, match=msg):
+            tune_threshold(bundle, SampleBudget(0.5))
+
     def test_candidate_grid_covers_pairwise_differences(self, ts):
         fixtures = [
             [[0.0, 0.1, 0.3]],
@@ -243,14 +250,14 @@ def bisect_candidate_grid(bundle, target):
     """The tuning bisection over the whole grid ``threshold_candidates`` builds."""
     cands = threshold_candidates(bundle)
     lo, hi = 0, len(cands) - 1
-    hi_frac = _bundle_fraction(bundle, float(cands[hi]))
+    hi_frac = bundle_fraction(bundle, float(cands[hi]))
     if hi_frac > target:
         above = float(np.nextafter(cands[hi], np.inf))
-        least = _bundle_fraction(bundle, above)
+        least = bundle_fraction(bundle, above)
         return ("infeasible", least) if least > target else (above, least)
     while lo < hi:
         mid = (lo + hi) // 2
-        mid_frac = _bundle_fraction(bundle, float(cands[mid]))
+        mid_frac = bundle_fraction(bundle, float(cands[mid]))
         if mid_frac <= target:
             hi, hi_frac = mid, mid_frac
         else:
@@ -322,6 +329,14 @@ class TestBoundedTuning:
                 grid = _DifferenceGrid(bundle)
                 assert [grid[r] for r in range(len(grid))] == threshold_candidates(bundle).tolist()
 
+    def test_values_near_float_max(self):
+        # every difference fits in float64, but u[i] + b overflows for the largest u[i]
+        signals = ([1e308, 0.0, 5.0, -7e307, 0.3], [1.0, 0.0, 5.0, 1e308, 0.3])
+        bundle = DatasetBundle("b", tuple(TimeSeries(v) for v in signals))
+        for target in (0.2, 0.5, 0.8):
+            want = bisect_candidate_grid(bundle, target)
+            assert tune_threshold(bundle, SampleBudget(target)) == want
+
     def test_walks_across_default_buckets(self):
         # 2 x 1200 points hold about 1.4M pairs: several buckets at the real size
         bundle = generate_synthetic_corpus(9, {"walk": 2}, 1200)
@@ -334,7 +349,7 @@ class TestBoundedTuning:
         cands = threshold_candidates(bundle)
         signals = [ts.values.tolist() for ts in bundle.signals]
         for t in (float(cands[int(q * (cands.size - 1))]), q, float(cands[-1])):
-            assert _kept_fraction(signals, t) == _bundle_fraction(bundle, t)
+            assert _kept_fraction(signals, t) == bundle_fraction(bundle, t)
 
     def test_peak_memory_does_not_grow_with_length(self):
         def peak(n):
