@@ -8,6 +8,7 @@ periodic regime ("L "/"R " method prefixes) on the same budget.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -30,6 +31,7 @@ from .core import (
 )
 from .errors import InvalidInputError, ParseError
 from .metrics import (
+    BLOCK_POINTS,
     DatasetResult,
     MethodReport,
     MethodScore,
@@ -65,11 +67,6 @@ METHODS: dict[str, tuple[str, Callable | None, Callable]] = {
     "zechip": ("ZeChip", ANCHORS, cubic_kernel),
     "zechipc": ("ZeChipC", TURNS, cubic_kernel),
 }
-
-# Grid points per block of signals that the scorer reconstructs at once; a
-# longer signal is a block by itself. Kernel temporaries scale with a block.
-BLOCK_POINTS = 12288
-
 
 class ExperimentMode(Enum):
     FIXED_THRESHOLD = "fixed-threshold"
@@ -127,48 +124,47 @@ class ExperimentConfig:
 
 def parse_finite_fields(
     fields: Sequence[str], path: Path, row: int, first_column: int = 0
-) -> list[float]:
-    """One row's text fields as finite floats.
+) -> np.ndarray:
+    """One row's text fields as finite floats, parsed as ``float`` parses them.
 
     A field that does not parse, or parses to NaN or inf, raises ParseError
     naming the file, the row and the column (counted from ``first_column``).
     """
-    try:
-        values = [float(f) for f in fields]
-    except ValueError:
-        values = None
-    if values is None or not all(map(math.isfinite, values)):
-        for c, f in enumerate(fields, first_column):
-            try:
-                x = float(f)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: cannot parse {f!r} at row {row}, column {c}", row=row, column=c
-                ) from None
-            if not math.isfinite(x):
-                msg = f"{path}: non-finite value {f!r} at row {row}, column {c}"
-                raise ParseError(msg, row=row, column=c)
-    return values
+    with contextlib.suppress(ValueError):
+        values = np.array(fields, dtype=np.float64)
+        if np.isfinite(values).all():
+            return values
+    for c, f in enumerate(fields, first_column):
+        try:
+            x = float(f)
+        except ValueError:
+            msg = f"{path}: cannot parse {f!r} at row {row}, column {c}"
+            raise ParseError(msg, row=row, column=c) from None
+        if not math.isfinite(x):
+            msg = f"{path}: non-finite value {f!r} at row {row}, column {c}"
+            raise ParseError(msg, row=row, column=c)
+    return np.array([float(f) for f in fields], dtype=np.float64)
 
 
 def _parse_rows(path: Path) -> list[np.ndarray]:
     """Tab-separated rows with the label in column 0 dropped; columns count
-    from the first value. Trailing NaN fields, the archive's padding of
-    short rows, are trimmed; any other NaN or inf is an error."""
+    from the first value. A line ends at \\n, \\r\\n or \\r, and quotes are
+    not special. Trailing NaN fields, the archive's padding of short rows,
+    are trimmed; any other NaN or inf is an error."""
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
     rows: list[np.ndarray] = []
-    with path.open("r", newline="") as fh:
-        for r, fields in enumerate(csv.reader(fh, delimiter="\t")):
-            if not fields or (len(fields) == 1 and not fields[0].strip()):
+    with path.open("r") as fh:
+        for r, line in enumerate(fh):
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) == 1 and not fields[0].strip():
                 continue  # skip blank lines
             fields = fields[1:]
             while fields and fields[-1].strip().lower() == "nan":
                 fields.pop()
-            values = parse_finite_fields(fields, path, r)
-            if not values:
+            if not fields:
                 raise ParseError(f"{path}: row {r} has no values", row=r)
-            rows.append(np.asarray(values, dtype=np.float64))
+            rows.append(parse_finite_fields(fields, path, r))
     return rows
 
 

@@ -42,19 +42,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
+def _parse_lines(fields: list[str], lines: list[tuple[int, int]], path: Path, first_column=0):
+    """``fields`` as one array; ``lines``, each line's (row, end), places a bad field."""
+    try:
+        return parse_finite_fields(fields, path, -1)
+    except ParseError:
+        for (r, end), (_, start) in zip(lines, [(0, 0), *lines]):
+            parse_finite_fields(fields[start:end], path, r, first_column)
+        raise
+
+
 def _read_signal(path: Path) -> TimeSeries:
     """One value per line (a trailing comma-separated row also works)."""
     if not path.exists():
         raise FileNotFoundError(f"signal file not found: {path}")
-    values: list[float] = []
+    fields, lines = [], []  # every value field; each line's (row, end) in fields
     with path.open() as fh:
         for r, line in enumerate(fh):
             line = line.strip()
             if line and not line.startswith("#"):
-                values += parse_finite_fields(line.replace(",", " ").split(), path, r)
-    if not values:
+                fields += line.replace(",", " ").split()
+                lines.append((r, len(fields)))
+    values = _parse_lines(fields, lines, path)
+    if not values.size:
         raise InvalidInputError(f"{path} contains no values")
-    return TimeSeries(np.asarray(values))
+    return TimeSeries(values)
 
 
 def _write_sampled(path: Path, s: SampledSeries) -> None:
@@ -86,7 +98,7 @@ def _read_sampled(path: Path, length: int | None, threshold: float | None) -> Sa
         raise FileNotFoundError(f"sampled file not found: {path}")
     meta: dict[str, tuple[str, int]] = {}
     idx: list[int] = []
-    vals: list[float] = []
+    vals, lines = [], []  # every value field; each line's (row, end) in vals
     with path.open() as fh:
         for r, line in enumerate(fh):
             line = line.strip()
@@ -104,14 +116,16 @@ def _read_sampled(path: Path, length: int | None, threshold: float | None) -> Sa
             if len(parts) != 2:
                 raise ParseError(f"{path}: expected 'index,value' at row {r}", row=r)
             idx.append(_parse_field(path, "index", int64, parts[0], r))
-            vals += parse_finite_fields(parts[1:], path, r, first_column=1)
+            vals.append(parts[1])
+            lines.append((r, len(vals)))
+    values = _parse_lines(vals, lines, path, first_column=1)
     if length is None:
         if "source_length" not in meta:
             raise InvalidInputError(f"{path} has no source_length metadata; pass --length")
         length = _parse_field(path, "source_length", int64, *meta["source_length"])
     if threshold is None:
         threshold = _parse_field(path, "threshold", float, *meta.get("threshold", ("0", 0)))
-    return SampledSeries(np.asarray(idx), np.asarray(vals), length, threshold)
+    return SampledSeries(np.asarray(idx), values, length, threshold)
 
 
 def _cmd_sample(args) -> int:

@@ -28,7 +28,7 @@ def _as_signal_array(values, what: str) -> np.ndarray:
         raise InvalidInputError(f"{what} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise InvalidInputError(f"{what} must contain at least one value")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
         raise InvalidInputError(f"{what} contains a non-finite value at position {bad}")
     arr = arr.copy()
@@ -74,7 +74,7 @@ class SampledSeries:
             raise InvalidInputError("a sampled series needs at least one point")
         if idx[0] != 0:
             raise InvalidInputError(f"first sampled index must be 0, got {int(idx[0])}")
-        if np.any(np.diff(idx) <= 0):
+        if (idx[1:] <= idx[:-1]).any():
             raise InvalidInputError("sampled indices must be strictly increasing")
         if int(idx[-1]) >= self.source_length:
             raise InvalidInputError(

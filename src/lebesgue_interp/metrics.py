@@ -22,6 +22,9 @@ __all__ = [
     "aggregate_report",
 ]
 
+# Grid points per block of signals the scorer reconstructs, or mean_abruptness stacks, at once.
+BLOCK_POINTS = 12288
+
 
 def rmse(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """Root of the mean squared pointwise difference of two equal-length arrays."""
@@ -34,11 +37,31 @@ def rmse(original: np.ndarray, reconstructed: np.ndarray) -> float:
 def rmse_per_signal(
     original: np.ndarray, reconstructed: np.ndarray, bounds: Sequence[int]
 ) -> list[float]:
-    """The RMSE of each signal of a block, signal i being [bounds[i], bounds[i + 1])."""
-    sq = (original - reconstructed) ** 2
-    # np.mean of each slice, spelled as the sum and division it performs
-    means = [np.add.reduce(sq[a:b]) / (b - a) for a, b in zip(bounds[:-1], bounds[1:])]
-    return np.sqrt(means).tolist()
+    """The RMSE of each signal of a block, signal i being [bounds[i], bounds[i + 1]).
+    Each run of equal-length signals is reduced as the rows of one 2-D array; a
+    signal whose squared error overflows is scored again at a 2**-e scale."""
+    lengths = np.diff(bounds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (original - reconstructed) ** 2
+    means = np.empty(lengths.size)
+    for lo, hi in _runs(lengths):
+        rows = sq[bounds[lo] : bounds[hi]].reshape(hi - lo, lengths[lo])
+        means[lo:hi] = np.add.reduce(rows, axis=1) / lengths[lo]  # np.mean's own sum and division
+    out = np.sqrt(means)
+    for i in np.flatnonzero(~np.isfinite(out) & (lengths > 0)):
+        a, b = bounds[i], bounds[i + 1]
+        out[i] = _overflow_safe(lambda o, r: np.sqrt(np.add.reduce((o - r) ** 2) / o.size),
+                                original[a:b], reconstructed[a:b])
+    return out.tolist()
+
+
+def _runs(lengths: np.ndarray, points: int | None = None):
+    """[lo, hi) runs of consecutive equal lengths, each cut to at most
+    ``points`` points in all unless a single length is larger."""
+    edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(lengths)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        step = max(1, hi - lo if points is None else points // int(lengths[lo]))
+        yield from ((a, min(a + step, hi)) for a in range(lo, hi, step))
 
 
 def abruptness(series: TimeSeries) -> float:
@@ -53,24 +76,33 @@ def abruptness(series: TimeSeries) -> float:
 
 
 def mean_abruptness(signals: Sequence[TimeSeries]) -> float | None:
-    """Mean abruptness of the signals; None when one has fewer than two
-    points or the mean exceeds the float64 range."""
-    if any(len(ts) < 2 for ts in signals):
+    """Mean abruptness of the signals; None when one has fewer than two points or
+    the mean exceeds the float64 range. Runs of equal-length signals are reduced
+    as rows of one array of at most BLOCK_POINTS points; a row that overflows, alone."""
+    lengths = np.array([len(ts) for ts in signals])
+    if (lengths < 2).any():
         return None
-    mean = _overflow_safe(np.mean, np.array([abruptness(ts) for ts in signals]))
+    sd = np.empty(len(signals))
+    for lo, hi in _runs(lengths, BLOCK_POINTS):
+        rows = np.stack([ts.values for ts in signals[lo:hi]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sd[lo:hi] = np.std(np.diff(rows, axis=1), axis=1)
+    for i in np.flatnonzero(~np.isfinite(sd)):
+        sd[i] = abruptness(signals[i])
+    mean = _overflow_safe(np.mean, sd)
     return mean if math.isfinite(mean) else None
 
 
-def _overflow_safe(stat, values: np.ndarray) -> float:
-    """``stat(values)`` for a statistic that scales with its input. When an
-    intermediate overflows, it runs again on values scaled by 2**-e, the
+def _overflow_safe(stat, *arrays: np.ndarray) -> float:
+    """``stat(*arrays)`` for a statistic that scales with its inputs. When an
+    intermediate overflows, it runs again on the arrays scaled by 2**-e, the
     largest magnitude's exponent, and is scaled back. A finite first result
     is kept as it is."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = stat(values)
+        out = stat(*arrays)
         if not np.isfinite(out):
-            e = int(np.frexp(np.max(np.abs(values)))[1])
-            out = np.ldexp(stat(np.ldexp(values, -e)), e)
+            e = int(np.frexp(max(np.max(np.abs(a)) for a in arrays))[1])
+            out = np.ldexp(stat(*(np.ldexp(a, -e) for a in arrays)), e)
     return float(out)
 
 

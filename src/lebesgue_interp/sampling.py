@@ -56,20 +56,12 @@ def lebesgue_sample(series: TimeSeries, threshold: float) -> SampledSeries:
     _check_threshold(threshold)
     values = series.values.tolist()
     idx = [0]
-    kept = [values[0]]
     ref = values[0]
-    for i in range(1, len(values)):
-        v = values[i]
+    for i, v in enumerate(values[1:], 1):
         if abs(v - ref) >= threshold:
             idx.append(i)
-            kept.append(v)
             ref = v
-    return SampledSeries(
-        indices=np.asarray(idx, dtype=np.int64),
-        values=np.asarray(kept, dtype=np.float64),
-        source_length=len(values),
-        threshold=threshold,
-    )
+    return SampledSeries(idx, series.values[idx], source_length=len(values), threshold=threshold)
 
 
 def riemann_sample(series: TimeSeries, budget: SampleBudget) -> SampledSeries:
@@ -85,12 +77,7 @@ def riemann_sample(series: TimeSeries, budget: SampleBudget) -> SampledSeries:
     else:
         raw = np.rint(np.arange(k, dtype=np.float64) * (n - 1) / (k - 1)).astype(np.int64)
         idx = np.unique(raw)
-    return SampledSeries(
-        indices=idx,
-        values=series.values[idx],
-        source_length=n,
-        threshold=0.0,
-    )
+    return SampledSeries(idx, series.values[idx], source_length=n, threshold=0.0)
 
 
 def threshold_candidates(bundle: DatasetBundle) -> np.ndarray:

@@ -8,6 +8,7 @@ checks in ``lebesgue_interp.verify`` and are re-exported here.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -184,3 +185,40 @@ def rmse_plain(a, b):
 def population_sd(values):
     mean = sum(values) / len(values)
     return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+
+
+def rmse_per_slice(original, reconstructed, bounds):
+    """Each signal's RMSE from its own 1-D slice of the squared errors."""
+    sq = (original - reconstructed) ** 2
+    means = [np.add.reduce(sq[a:b]) / (b - a) for a, b in zip(bounds[:-1], bounds[1:])]
+    return np.sqrt(means).tolist()
+
+
+def mean_abruptness_per_signal(signals):
+    """The mean over signals of np.std(np.diff(values)), one signal at a time;
+    a signal whose SD overflows is taken at a 2**-e scale and scaled back."""
+    sds = []
+    for v in signals:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sd = np.std(np.diff(v))
+            if not np.isfinite(sd):
+                e = int(np.frexp(np.max(np.abs(v)))[1])
+                sd = np.ldexp(np.std(np.diff(np.ldexp(v, -e))), e)
+        sds.append(sd)
+    return float(np.mean(sds))
+
+
+def ucr_rows_csv(path):
+    """A UCR file's rows as csv.reader splits them (universal newlines, tab
+    delimiter), the label dropped and trailing NaN padding trimmed, each value
+    parsed with float()."""
+    rows = []
+    with open(path, newline="") as fh:
+        for fields in csv.reader(fh, delimiter="\t"):
+            if not fields or (len(fields) == 1 and not fields[0].strip()):
+                continue
+            fields = fields[1:]
+            while fields and fields[-1].strip().lower() == "nan":
+                fields.pop()
+            rows.append(np.array([float(f) for f in fields]))
+    return rows

@@ -35,7 +35,26 @@ from lebesgue_interp import (
 )
 from lebesgue_interp import bench
 from conftest import PER_SIGNAL
-from oracles import rmse_plain, trace_send_on_delta
+from oracles import rmse_plain, trace_send_on_delta, ucr_rows_csv
+
+_DIGITS = "0123456789"
+# numeric text as float() reads it: ASCII, underscored or in other scripts'
+# digits, padded with whitespace; NaN and infinity spellings; and junk
+_number = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(lambda v: format(v, ".9e")),
+    st.integers(-(10**30), 10**30).map(str),
+    st.integers(0, 10**9).map(lambda n: f"{n:_}"),
+    st.tuples(st.integers(0, 10**6), st.sampled_from(["\u0660", "\u0966", "\uff10", "\U0001d7ce"]))
+    .map(lambda t: str(t[0]).translate({ord(d): ord(t[1]) + i for i, d in enumerate(_DIGITS)})),
+)
+_fields = st.one_of(
+    st.tuples(st.sampled_from(["", " ", "\t", "\u2003", "\xa0"]), _number,
+              st.sampled_from(["", " ", "\n", "\x0c"])).map("".join),
+    st.sampled_from(["nan", "NaN", "-nan", "+NAN", "inf", "-Inf", "Infinity", "-infinity",
+                     "1e400", "-1e999", "1e-400", "2.5e-324"]),
+    st.text(alphabet="0123456789.eE+-_ nainfxX\u0661", max_size=6),
+)
 
 
 @pytest.fixture
@@ -99,6 +118,53 @@ class TestLoadUcrDataset:
         with pytest.raises(ParseError, match="Gap_TRAIN.tsv.*row 0, column 1") as err:
             load_ucr_dataset(bad)
         assert err.value.row == 0 and err.value.column == 1
+
+    def test_quoted_field_is_not_unquoted(self, tmp_path):
+        quoted = tmp_path / "Quoted_TRAIN.tsv"
+        quoted.write_text('1\t0.1\t"0.5"\n')
+        with pytest.raises(ParseError, match="cannot parse '\"0.5\"' at row 0, column 1"):
+            load_ucr_dataset(quoted)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1\t0.1\t0.2\r\n2\t0.3\t0.4\r\n",
+            "1\t0.1\t0.2\r2\t0.3\t0.4\r",
+            "1\t0.1\t0.2\n\n  \n2\t0.3\t0.4",
+            "1\t0.1\t0.2\tNaN\tnan\r\n\r\n2\t 0.3\t0.4 \t0.5\tNAN \r\n3\t7\r\n",
+        ],
+        ids=["crlf", "cr", "blank-lines", "nan-padded-crlf"],
+    )
+    def test_rows_split_as_csv_reader_split_them(self, tmp_path, text):
+        path = tmp_path / "Rows_TRAIN.tsv"
+        path.write_bytes(text.encode())
+        got = bench._parse_rows(path)
+        want = ucr_rows_csv(path)
+        assert [r.tobytes() for r in got] == [r.tobytes() for r in want]
+
+    @given(st.lists(_fields, max_size=8), st.integers(0, 1))
+    @example(["1_000", "\u0661\u0662", " 2.5\u2003"], 0)
+    @example(["4.9e-324", "1e400"], 1)
+    @settings(max_examples=400)
+    def test_parse_finite_fields_parses_as_float(self, fields, first_column):
+        path = "F.tsv"
+        want = None
+        for c, f in enumerate(fields, first_column):
+            try:
+                x = float(f)
+            except ValueError:
+                want = (c, f"{path}: cannot parse {f!r} at row 3, column {c}")
+                break
+            if not math.isfinite(x):
+                want = (c, f"{path}: non-finite value {f!r} at row 3, column {c}")
+                break
+        if want is None:
+            got = bench.parse_finite_fields(fields, path, 3, first_column)
+            assert got.tobytes() == np.array([float(f) for f in fields]).tobytes()
+        else:
+            with pytest.raises(ParseError) as err:
+                bench.parse_finite_fields(fields, path, 3, first_column)
+            assert (err.value.row, err.value.column, str(err.value)) == (3, *want)
 
 
 class TestSyntheticCorpus:

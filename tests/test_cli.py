@@ -60,6 +60,14 @@ class TestSampleCommand:
         assert code == 1
         assert f"error: {path}: non-finite value 'nan' at row 2, column 0" in capsys.readouterr().err
 
+    def test_bad_field_in_a_comma_row_names_its_row_and_column(self, tmp_path, capsys):
+        # the file converts at once; the error still names the first bad field's own line
+        path = tmp_path / "rows.txt"
+        path.write_text("0.1\n# note\n\n0.2, 0.3,abc\n1e999\n")
+        code = main(["sample", "--input", str(path), "--output", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: cannot parse 'abc' at row 3, column 2\n"
+
     def test_riemann_regime(self, tmp_path, signal_file):
         path, walk = signal_file
         out = tmp_path / "sampled.csv"
@@ -302,6 +310,16 @@ class TestBenchCommand:
         out = tmp_path / "rep"
         assert main(["bench", "--data-dir", str(tmp_path), "--out", str(out)]) == 1
         assert "datasets 'Foo' and 'Foo' would both write Foo_rmse.csv" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_comma_separated_row_longer_than_a_csv_field(self, tmp_path, capsys):
+        # one 15,000-value field: more than csv.reader's 131,072-character limit
+        (tmp_path / "D").mkdir()
+        train = tmp_path / "D" / "D_TRAIN.tsv"
+        train.write_text("1," + ",".join(["0.123456789"] * 15000) + "\n")
+        out = tmp_path / "rep"
+        assert main(["bench", "--data-dir", str(tmp_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {train}: row 0 has no values\n"
         assert not out.exists()
 
     def test_missing_data_dir_exits_2(self, tmp_path):

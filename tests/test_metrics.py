@@ -1,9 +1,10 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lebesgue_interp import (
     DatasetResult,
@@ -16,8 +17,9 @@ from lebesgue_interp import (
     rank_methods,
     rmse,
 )
-from lebesgue_interp.metrics import mean_abruptness
-from oracles import population_sd, rmse_plain
+from lebesgue_interp import metrics
+from lebesgue_interp.metrics import mean_abruptness, rmse_per_signal
+from oracles import mean_abruptness_per_signal, population_sd, rmse_per_slice, rmse_plain
 
 # quantized so squared differences cannot underflow to zero, which would
 # break the "zero iff equal" direction for subnormal gaps
@@ -64,6 +66,43 @@ class TestRmse:
         scaled = rmse(TimeSeries([c * v for v in a]).values, rec([c * v for v in b]))
         assert scaled == pytest.approx(abs(c) * base, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "a, b, want",
+        [([1e200, 0.0], [0.0, 0.0], 7.0710678118654755e199),
+         ([1e308, 0.0], [-1e308, 0.0], 1.4142135623730951e308),
+         ([-1e300, 1e300, 3e300], [1e300, -1e300, 3e300], 2e300 * math.sqrt(2 / 3))],
+        ids=["square-overflows", "difference-overflows", "three-points"],
+    )
+    def test_errors_beyond_the_square_range(self, a, b, want):
+        assert rmse(rec(a), rec(b)) == pytest.approx(want, rel=1e-15)
+
+    def test_only_the_overflowing_signal_is_rescaled(self):
+        original = rec([0.5, 0.25, 1e308, 0.0, 0.1, 0.2, 0.3])
+        recon = rec([0.0, 0.0, -1e308, 0.0, 0.1, 0.0, 0.3])
+        bounds = [0, 2, 4, 7]
+        got = rmse_per_signal(original, recon, bounds)
+        assert got[0] == rmse_per_slice(original[:2], recon[:2], [0, 2])[0]
+        assert got[2] == rmse_per_slice(original[4:], recon[4:], [0, 3])[0]
+        assert got[1] == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 40), st.integers(1, 5)), min_size=1, max_size=12),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([(1, 1)], 0)  # one signal in the block
+    @example([(3, 1), (3, 4), (7, 1), (1, 1), (40, 3)], 1)  # runs of one and of several
+    @example([(4097, 2), (2, 37), (1024, 1)], 2)  # long rows reduce pairwise
+    @settings(max_examples=150, deadline=None)
+    def test_ragged_block_equals_one_slice_at_a_time(self, runs, seed):
+        rng = np.random.default_rng(seed)
+        lengths = [n for n, count in runs for _ in range(count)]
+        bounds = np.cumsum([0] + lengths)
+        original = rng.normal(size=bounds[-1]) * 10.0 ** rng.integers(-3, 4)
+        recon = original + rng.normal(size=bounds[-1]) * rng.choice([0.0, 1e-3, 1.0])
+        got = rmse_per_signal(original, recon, bounds)
+        # bit for bit, sign bits included
+        assert np.array(got).tobytes() == np.array(rmse_per_slice(original, recon, bounds)).tobytes()
+
 
 class TestAbruptness:
     def test_linear_ramp_is_zero(self, ts):
@@ -93,6 +132,16 @@ class TestAbruptness:
         assert abruptness(ts([1e308, -1e308, 1e308, -1e308])) == math.inf
         assert mean_abruptness([ts([1e308, -1e308, 1e308, -1e308])]) is None
         assert mean_abruptness([ts([0.0, 1.0]), ts([1.0])]) is None
+
+    @pytest.mark.parametrize("block", [8, 100, metrics.BLOCK_POINTS])
+    def test_ragged_mean_equals_one_signal_at_a_time(self, ts, block):
+        rng = np.random.default_rng(7)
+        lengths = [2, 2, 5, 5, 5, 3, 40, 40, 17, 2, 300, 300, 5]
+        values = [rng.normal(size=n) * 10.0 ** rng.integers(-3, 4) for n in lengths]
+        values[3] = np.array([1e308, -1e308, 1e308, 0.5, 0.0])  # its differences overflow
+        with mock.patch.object(metrics, "BLOCK_POINTS", block):
+            got = mean_abruptness([ts(v) for v in values])
+        assert got == mean_abruptness_per_signal(values)
 
     @given(rmse_vectors.filter(lambda v: len(v) >= 2), st.floats(-100, 100, allow_nan=False))
     @settings(max_examples=100)
