@@ -31,6 +31,8 @@ def rmse(original: np.ndarray, reconstructed: np.ndarray) -> float:
     n, m = original.size, reconstructed.size
     if n != m:
         raise ShapeError(f"length mismatch: original {n} vs reconstruction {m}")
+    if n == 0:
+        raise InvalidInputError("rmse of two empty arrays is undefined")
     return rmse_per_signal(original, reconstructed, (0, n))[0]
 
 

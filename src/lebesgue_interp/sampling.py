@@ -133,6 +133,7 @@ class _DifferenceGrid:
 
     def __init__(self, bundle: DatasetBundle):
         parts = [np.unique(ts.values) for ts in bundle.signals]
+        self._last: np.ndarray | None = None
         spans = [float(p[-1]) - float(p[0]) for p in parts]  # Python floats overflow quietly
         if math.isinf(max(spans)):
             raise InvalidInputError(f"dataset {bundle.name!r}: the values of signal "
@@ -160,9 +161,9 @@ class _DifferenceGrid:
                 tops.append(b)  # too many pairs, but all of them equal b
                 ranks.append(ranks[-1] + 1)
             elif count:
-                values = self._distinct(lo, hi)
-                tops.append(float(values[-1]))
-                ranks.append(ranks[-1] + values.size)
+                top, distinct = self._bucket(lo, hi)
+                tops.append(top)
+                ranks.append(ranks[-1] + distinct)
             todo.pop()
             a, lo = b, hi
         self._tops = np.array(tops)
@@ -178,7 +179,10 @@ class _DifferenceGrid:
             return float(self._tops[k])
         if self._cached is None or self._cached[0] != k:
             a, b = float(self._tops[k - 1]), float(self._tops[k])
-            self._cached = k, self._distinct(self._ends(a), self._ends(b))
+            self._cached = None  # free the old bucket before building the new one
+            self._bucket(self._ends(a), self._ends(b))
+            d = self._last
+            self._cached = k, d[np.append(True, d[1:] != d[:-1])]
         return float(self._cached[1][rank - self._ranks[k - 1] - 1])
 
     def _ends(self, b: float) -> np.ndarray:
@@ -204,22 +208,31 @@ class _DifferenceGrid:
         at[bad] = lo
         return at
 
-    def _distinct(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """The sorted distinct differences of the pairs i, [lo[i], hi[i])."""
+    def _bucket(self, lo: np.ndarray, hi: np.ndarray) -> tuple[float, int]:
+        """Sort the differences of the pairs i, [lo[i], hi[i]) into ``_last``;
+        return the largest and how many are distinct. At most two pair-sized
+        arrays live at once, and the last bucket is freed only once this one's
+        gather index exists, so malloc reuses its pages instead of returning
+        them to the system and faulting them back in for the next bucket."""
         k = hi - lo
         total = np.cumsum(k)
-        d = self._u[np.arange(total[-1]) + np.repeat(lo - total + k, k)]
+        idx = np.repeat(lo - total + k, k)
+        self._last = None
+        idx += np.arange(idx.size)
+        d = self._u[idx]
+        del idx
         d -= np.repeat(self._u, k)
         d.sort()
-        return d[np.append(True, d[1:] != d[:-1])]
+        self._last = d
+        return float(d[-1]), int(np.count_nonzero(d[1:] != d[:-1])) + 1
 
     def _cuts(self, lo: np.ndarray, hi: np.ndarray, count: int, b: float) -> list[float]:
         """Values that split the pairs i, [lo[i], hi[i]) into pieces of about
-        half a bucket each, read off an evenly spaced sample of 32 pairs per
-        piece; the slack keeps most pieces under a bucket despite the sample's
-        error, and the few that are not get cut again."""
-        pieces = -(-2 * count // _BUCKET_PAIRS)
-        size = min(count, 32 * pieces)
+        three quarters of a bucket each, read off an evenly spaced sample of
+        128 pairs per piece; the slack keeps most pieces under a bucket despite
+        the sample's error, and the few that are not get cut again."""
+        pieces = -(-4 * count // (3 * _BUCKET_PAIRS))
+        size = min(count, 128 * pieces)
         k = hi - lo
         total = np.cumsum(k)
         at = (np.arange(size) * (count / size)).astype(np.int64)
@@ -258,10 +271,9 @@ def tune_threshold(bundle: DatasetBundle, budget: SampleBudget) -> tuple[float, 
         above = float(np.nextafter(cands[hi], np.inf))
         least = _kept_fraction(signals, above)
         if least > target:
-            raise InfeasibleBudgetError(
-                f"budget {target} infeasible: minimum achievable fraction is {least:.6g}",
-                min_achievable_fraction=least,
-            )
+            raise InfeasibleBudgetError(f"dataset {bundle.name!r}: budget {target} infeasible: "
+                                        f"minimum achievable fraction is {least:.6g}",
+                                        min_achievable_fraction=least)
         return above, least
     while lo < hi:
         mid = (lo + hi) // 2

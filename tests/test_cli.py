@@ -263,6 +263,19 @@ class TestBenchCommand:
         ds = json.loads((out / "report.json").read_text())["datasets"][0]
         assert ds["achieved_fraction"] == 0.1
 
+    def test_infeasible_budget_names_the_dataset(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "Lines_TRAIN.tsv").write_text(
+            "1\t" + "\t".join(repr(v) for v in np.linspace(0, 1, 60).tolist()) + "\n")
+        (data / "Spiky_TRAIN.tsv").write_text("1\t0.0\t1.0\t0.0\t1.0\n")
+        out = tmp_path / "rep6"
+        argv = ["bench", "--experiment", "2", "--budget", "0.1", "--data-dir", str(data)]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: dataset 'Spiky': budget 0.1 infeasible: minimum achievable fraction is 0.25\n"
+        )
+
     def test_nan_padded_rows(self, tmp_path):
         data = tmp_path / "data"
         data.mkdir()

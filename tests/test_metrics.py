@@ -46,6 +46,11 @@ class TestRmse:
         with pytest.raises(ShapeError):
             rmse(ts([1.0, 2.0]).values, rec([1.0]))
 
+    def test_empty_arrays_rejected(self):
+        # the mean of no squared errors used to be 0/0: nan and a RuntimeWarning
+        with pytest.raises(InvalidInputError):
+            rmse(rec([]), rec([]))
+
     @given(rmse_vectors, rmse_vectors)
     @settings(max_examples=100)
     def test_matches_plain_formula_and_symmetry(self, a, b):

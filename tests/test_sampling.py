@@ -165,6 +165,15 @@ class TestTuneThreshold:
             tune_threshold(bundle, SampleBudget(0.05))
         assert err.value.min_achievable_fraction > 0.05
 
+    def test_infeasible_budget_names_the_dataset(self, ts):
+        bundle = DatasetBundle("Spiky", (ts([0.0, 1.0, 0.0, 1.0]),))
+        with pytest.raises(InfeasibleBudgetError) as err:
+            tune_threshold(bundle, SampleBudget(0.1))
+        assert str(err.value) == (
+            "dataset 'Spiky': budget 0.1 infeasible: minimum achievable fraction is 0.25"
+        )
+        assert err.value.min_achievable_fraction == 0.25
+
     @pytest.mark.parametrize(
         "values, want",
         [([0.3] * 10, (5e-324, 0.1)), ([0.0, 1.0, 0.0, 1.0], (np.nextafter(1.0, np.inf), 0.25))],
@@ -363,3 +372,26 @@ class TestBoundedTuning:
 
         # 16x the pairs of the short run, which already fills a few buckets
         assert peak(4000) <= 1.5 * peak(1000)
+
+    def test_peak_memory_of_walks_at_default_buckets(self):
+        # each bucket is built with at most two pair-sized arrays alive, and the
+        # previous bucket is freed before the next one reaches its peak
+        bundle = generate_synthetic_corpus(4, {"walk": 20}, 1000)
+        tracemalloc.start()
+        try:
+            tune_threshold(bundle, SampleBudget(0.15))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * sampling._BUCKET_PAIRS
+
+    def test_grid_pass_edge_count(self):
+        # pieces aimed at three quarters of a bucket need about 4/3 edges per
+        # bucket's worth of pairs, 52 here; half-bucket pieces need 78
+        bundle = generate_synthetic_corpus(4, {"walk": 20}, 1000)
+        calls = []
+        ends = _DifferenceGrid._ends
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_DifferenceGrid, "_ends", lambda grid, b: calls.append(b) or ends(grid, b))
+            _DifferenceGrid(bundle)
+        assert len(calls) <= 60
