@@ -31,7 +31,6 @@ from .core import (
 )
 from .errors import InvalidInputError, ParseError
 from .metrics import (
-    BLOCK_POINTS,
     DatasetResult,
     MethodReport,
     MethodScore,
@@ -39,6 +38,7 @@ from .metrics import (
     mean_abruptness,
     rank_methods,
     rmse_per_signal,
+    signal_blocks,
 )
 from .sampling import SampleBudget, lebesgue_sample, riemann_sample, tune_threshold
 from .zelic import ANCHORS, TURNS
@@ -75,16 +75,16 @@ class ExperimentMode(Enum):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Protocol knobs; the defaults reproduce the reference setup
-    (threshold 0.05, budget 15%, tolerance ratio 1.15, distances 3/3/unbounded)."""
+    """Protocol knobs; the defaults reproduce the reference setup: threshold
+    0.05, budget 15%, and the band and turn gates of ReconstructionParams."""
 
     mode: ExperimentMode = ExperimentMode.FIXED_THRESHOLD
     threshold: float = 0.05
     target_fraction: float = 0.15
-    tolerance_ratio: float = 1.15
-    previous_distance: int = 3
-    subsequent_min_distance: int = 3
-    subsequent_max_distance: int | None = None
+    tolerance_ratio: float = ReconstructionParams.tolerance_ratio
+    previous_distance: int = ReconstructionParams.previous_distance
+    subsequent_min_distance: int = ReconstructionParams.subsequent_min_distance
+    subsequent_max_distance: int | None = ReconstructionParams.subsequent_max_distance
     methods: tuple[str, ...] = tuple(METHODS)
     seed: int = 0
 
@@ -94,18 +94,17 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown methods: {unknown}; choose from {sorted(METHODS)}")
         if not self.methods:
             raise InvalidInputError("at least one method is required")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise InvalidInputError(f"methods named more than once: {repeated}")
         SampleBudget(self.target_fraction)  # validate range
         self.make_params(self.threshold)  # validate threshold, ratio and distances
 
     def make_params(self, threshold: float) -> ReconstructionParams:
-        """Reconstruction parameters bound to the sampling threshold in use."""
-        return ReconstructionParams(
-            threshold=threshold,
-            tolerance_ratio=self.tolerance_ratio,
-            previous_distance=self.previous_distance,
-            subsequent_min_distance=self.subsequent_min_distance,
-            subsequent_max_distance=self.subsequent_max_distance,
-        )
+        """Reconstruction parameters bound to the sampling threshold in use, with
+        this config's band and turn gates."""
+        gates = {f.name: getattr(self, f.name) for f in dataclasses.fields(ReconstructionParams)}
+        return ReconstructionParams(**gates | {"threshold": threshold})
 
     def echo(self) -> dict[str, object]:
         """Every field in declaration order, as report.json records it; an
@@ -123,26 +122,31 @@ class ExperimentConfig:
 
 
 def parse_finite_fields(
-    fields: Sequence[str], path: Path, row: int, first_column: int = 0
+    fields: Sequence[str], path: Path, lines: Sequence[tuple[int, int]], first_column: int = 0
 ) -> np.ndarray:
-    """One row's text fields as finite floats, parsed as ``float`` parses them.
+    """Text fields as finite floats, parsed as ``float`` parses them, all at once.
 
-    A field that does not parse, or parses to NaN or inf, raises ParseError
-    naming the file, the row and the column (counted from ``first_column``).
+    ``lines`` holds each line's (row, end): its row in the file and the end of
+    its fields in ``fields``. A field that does not parse, or parses to NaN or
+    inf, raises ParseError naming the file, the row and the column in its line
+    (counted from ``first_column``).
     """
     with contextlib.suppress(ValueError):
         values = np.array(fields, dtype=np.float64)
         if np.isfinite(values).all():
             return values
-    for c, f in enumerate(fields, first_column):
-        try:
-            x = float(f)
-        except ValueError:
-            msg = f"{path}: cannot parse {f!r} at row {row}, column {c}"
-            raise ParseError(msg, row=row, column=c) from None
-        if not math.isfinite(x):
-            msg = f"{path}: non-finite value {f!r} at row {row}, column {c}"
-            raise ParseError(msg, row=row, column=c)
+    start = 0
+    for row, end in lines:
+        for c, f in enumerate(fields[start:end], first_column):
+            try:
+                x = float(f)
+            except ValueError:
+                msg = f"{path}: cannot parse {f!r} at row {row}, column {c}"
+                raise ParseError(msg, row=row, column=c) from None
+            if not math.isfinite(x):
+                msg = f"{path}: non-finite value {f!r} at row {row}, column {c}"
+                raise ParseError(msg, row=row, column=c)
+        start = end
     return np.array([float(f) for f in fields], dtype=np.float64)
 
 
@@ -164,7 +168,7 @@ def _parse_rows(path: Path) -> list[np.ndarray]:
                 fields.pop()
             if not fields:
                 raise ParseError(f"{path}: row {r} has no values", row=r)
-            rows.append(parse_finite_fields(fields, path, r))
+            rows.append(parse_finite_fields(fields, path, [(r, len(fields))]))
     return rows
 
 
@@ -314,17 +318,6 @@ def merge_bundles(name: str, bundles: Sequence[DatasetBundle]) -> DatasetBundle:
 # ---------------------------------------------------------------------------
 
 
-def _blocks(lengths: Sequence[int]):
-    """[lo, hi) runs of consecutive signals with at most BLOCK_POINTS points in all."""
-    lo = total = 0
-    for i, n in enumerate(lengths):
-        if total + n > BLOCK_POINTS and i > lo:
-            yield lo, i
-            lo, total = i, 0
-        total += n
-    yield lo, len(lengths)
-
-
 def _score_sampled(
     signals: Sequence[TimeSeries],
     sampled: Sequence[SampledSeries],
@@ -339,7 +332,7 @@ def _score_sampled(
     by_plan: dict[Callable | None, list[str]] = {}
     for m in methods:
         by_plan.setdefault(METHODS[m][1], []).append(m)
-    for lo, hi in _blocks([s.source_length for s in sampled]):
+    for lo, hi in signal_blocks([s.source_length for s in sampled]):
         block = sampled[lo:hi]
         bounds = np.cumsum([0] + [s.source_length for s in block])
         knots = np.cumsum([0] + [len(s) for s in block])

@@ -42,16 +42,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
 
 
-def _parse_lines(fields: list[str], lines: list[tuple[int, int]], path: Path, first_column=0):
-    """``fields`` as one array; ``lines``, each line's (row, end), places a bad field."""
-    try:
-        return parse_finite_fields(fields, path, -1)
-    except ParseError:
-        for (r, end), (_, start) in zip(lines, [(0, 0), *lines]):
-            parse_finite_fields(fields[start:end], path, r, first_column)
-        raise
-
-
 def _read_signal(path: Path) -> TimeSeries:
     """One value per line (a trailing comma-separated row also works)."""
     if not path.exists():
@@ -63,19 +53,19 @@ def _read_signal(path: Path) -> TimeSeries:
             if line and not line.startswith("#"):
                 fields += line.replace(",", " ").split()
                 lines.append((r, len(fields)))
-    values = _parse_lines(fields, lines, path)
+    values = parse_finite_fields(fields, path, lines)
     if not values.size:
         raise InvalidInputError(f"{path} contains no values")
     return TimeSeries(values)
 
 
-def _write_sampled(path: Path, s: SampledSeries) -> None:
+def _write_points(path: Path, indices, values: np.ndarray, comment: str = "") -> None:
+    """``index,value`` rows, each value as its repr, after ``comment``."""
     with path.open("w", newline="") as fh:
-        fh.write(f"# source_length={s.source_length} threshold={s.threshold!r}\n")
+        fh.write(comment)
         w = csv.writer(fh)
         w.writerow(["index", "value"])
-        for i, v in zip(s.indices.tolist(), s.values.tolist()):
-            w.writerow([i, repr(v)])
+        w.writerows(zip(indices, map(repr, values.tolist())))
 
 
 def _parse_field(path: Path, what: str, parse, text: str, row: int):
@@ -118,7 +108,7 @@ def _read_sampled(path: Path, length: int | None, threshold: float | None) -> Sa
             idx.append(_parse_field(path, "index", int64, parts[0], r))
             vals.append(parts[1])
             lines.append((r, len(vals)))
-    values = _parse_lines(vals, lines, path, first_column=1)
+    values = parse_finite_fields(vals, path, lines, first_column=1)
     if length is None:
         if "source_length" not in meta:
             raise InvalidInputError(f"{path} has no source_length metadata; pass --length")
@@ -134,20 +124,15 @@ def _cmd_sample(args) -> int:
         s = lebesgue_sample(ts, args.threshold)
     else:
         s = riemann_sample(ts, SampleBudget(args.fraction))
-    _write_sampled(Path(args.output), s)
+    meta = f"# source_length={s.source_length} threshold={s.threshold!r}\n"
+    _write_points(Path(args.output), s.indices.tolist(), s.values, meta)
     print(f"kept {len(s)}/{s.source_length} points ({s.fraction:.4f}) -> {args.output}")
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
     s = _read_sampled(Path(args.input), args.length, args.threshold)
-    params = ReconstructionParams(
-        threshold=s.threshold if args.threshold is None else args.threshold,
-        tolerance_ratio=args.tolerance_ratio,
-        previous_distance=args.prev_dist,
-        subsequent_min_distance=args.min_dist,
-        subsequent_max_distance=args.max_dist,
-    )
+    params = ReconstructionParams(s.threshold, **_reconstruction_args(args))
     _, plan, kernel = METHODS[args.method]
     try:
         if s.source_length > sys.maxsize // 8:  # numpy refuses float64 arrays this long outright
@@ -159,11 +144,7 @@ def _cmd_reconstruct(args) -> int:
     if bad.size:  # the reconstruction itself exceeds the float64 range
         raise InvalidInputError(f"{args.method} output is not finite at index {int(bad[0])}")
     out = Path(args.output)
-    with out.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "value"])
-        for i, v in enumerate(values.tolist()):
-            w.writerow([i, repr(v)])
+    _write_points(out, range(values.size), values)
     print(f"reconstructed {values.size} points with {args.method} -> {out}")
     return 0
 
@@ -185,10 +166,7 @@ def _cmd_bench(args) -> int:
         mode=mode,
         threshold=args.threshold,
         target_fraction=args.budget,
-        tolerance_ratio=args.tolerance_ratio,
-        previous_distance=args.prev_dist,
-        subsequent_min_distance=args.min_dist,
-        subsequent_max_distance=args.max_dist,
+        **_reconstruction_args(args),
         methods=methods,
         seed=args.seed,
     )
@@ -199,7 +177,13 @@ def _cmd_bench(args) -> int:
         counts = {}
         for token in args.synthetic.split(","):
             fam, _, cnt = token.partition("=")
-            counts[fam.strip()] = int(cnt) if cnt else 10
+            if fam.strip() in counts:
+                raise InvalidInputError(f"--synthetic names {fam.strip()!r} twice: {token!r}")
+            try:
+                counts[fam.strip()] = int(cnt) if cnt else 10
+            except ValueError:
+                msg = f"--synthetic: cannot parse the count in {token!r}"
+                raise InvalidInputError(msg) from None
         bundles = [
             generate_synthetic_corpus(args.seed + i, {fam: cnt}, length=args.length, name=fam)
             for i, (fam, cnt) in enumerate(counts.items())
@@ -221,6 +205,20 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _add_reconstruction_flags(p: argparse.ArgumentParser) -> None:
+    """The band and turn-gate flags, defaulting to ReconstructionParams' own."""
+    p.add_argument("--tolerance-ratio", type=float, default=ReconstructionParams.tolerance_ratio)
+    p.add_argument("--prev-dist", type=int, default=ReconstructionParams.previous_distance)
+    p.add_argument("--min-dist", type=int, default=ReconstructionParams.subsequent_min_distance)
+    p.add_argument("--max-dist", type=int, default=ReconstructionParams.subsequent_max_distance)
+
+
+def _reconstruction_args(args) -> dict[str, object]:
+    """The flags of ``_add_reconstruction_flags`` as ReconstructionParams fields."""
+    return {"tolerance_ratio": args.tolerance_ratio, "previous_distance": args.prev_dist,
+            "subsequent_min_distance": args.min_dist, "subsequent_max_distance": args.max_dist}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="lebesgue-interp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -229,8 +227,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="signal file, one value per line")
     p.add_argument("--output", required=True, help="sampled-points CSV to write")
     p.add_argument("--regime", choices=("lebesgue", "riemann"), default="lebesgue")
-    p.add_argument("--threshold", type=float, default=0.05, help="event threshold (lebesgue)")
-    p.add_argument("--fraction", type=float, default=0.15, help="sample share (riemann)")
+    p.add_argument("--threshold", type=float, default=ExperimentConfig.threshold,
+                   help="event threshold (lebesgue)")
+    p.add_argument("--fraction", type=float, default=ExperimentConfig.target_fraction,
+                   help="sample share (riemann)")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("reconstruct", help="rebuild a full signal from a sampled-points CSV")
@@ -241,22 +241,16 @@ def _build_parser() -> _Parser:
                    help="event threshold; defaults to the file's metadata")
     p.add_argument("--length", type=int64, default=None,
                    help="original length; defaults to the file's metadata")
-    p.add_argument("--tolerance-ratio", type=float, default=1.15)
-    p.add_argument("--prev-dist", type=int, default=3)
-    p.add_argument("--min-dist", type=int, default=3)
-    p.add_argument("--max-dist", type=int, default=None)
+    _add_reconstruction_flags(p)
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("bench", help="run the RMSE comparison protocol and write reports")
     p.add_argument("--experiment", type=int, choices=(1, 2), default=1,
                    help="1 = fixed threshold, 2 = sample budget")
-    p.add_argument("--threshold", type=float, default=0.05)
-    p.add_argument("--budget", type=float, default=0.15)
-    p.add_argument("--tolerance-ratio", type=float, default=1.15)
-    p.add_argument("--prev-dist", type=int, default=3)
-    p.add_argument("--min-dist", type=int, default=3)
-    p.add_argument("--max-dist", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threshold", type=float, default=ExperimentConfig.threshold)
+    p.add_argument("--budget", type=float, default=ExperimentConfig.target_fraction)
+    _add_reconstruction_flags(p)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p.add_argument("--out", default="bench_out", help="output directory for report files")
     p.add_argument("--data-dir", default=None,
                    help="directory with <Name>_TRAIN.tsv[/<Name>_TEST.tsv] datasets")
@@ -283,6 +277,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     except (InvalidInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -36,6 +36,11 @@ def _as_signal_array(values, what: str) -> np.ndarray:
     return arr
 
 
+def _check_threshold(threshold: float) -> None:
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise InvalidInputError(f"threshold must be finite and >= 0, got {threshold}")
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
     """One signal: a finite float sequence indexed by 0..n-1."""
@@ -70,8 +75,6 @@ class SampledSeries:
             raise ShapeError(
                 f"indices and values must be equal-length 1-d arrays, got {idx.shape} vs {vals.shape}"
             )
-        if idx.size == 0:
-            raise InvalidInputError("a sampled series needs at least one point")
         if idx[0] != 0:
             raise InvalidInputError(f"first sampled index must be 0, got {int(idx[0])}")
         if (idx[1:] <= idx[:-1]).any():
@@ -80,8 +83,7 @@ class SampledSeries:
             raise InvalidInputError(
                 f"sampled index {int(idx[-1])} out of range for source length {self.source_length}"
             )
-        if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
-            raise InvalidInputError(f"threshold must be finite and >= 0, got {self.threshold}")
+        _check_threshold(self.threshold)
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", vals)
@@ -111,8 +113,7 @@ class ReconstructionParams:
     subsequent_max_distance: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
-            raise InvalidInputError(f"threshold must be finite and >= 0, got {self.threshold}")
+        _check_threshold(self.threshold)
         if math.isnan(self.tolerance_ratio) or self.tolerance_ratio < 1.0:
             raise InvalidInputError(f"tolerance_ratio must be >= 1, got {self.tolerance_ratio}")
         for name in ("previous_distance", "subsequent_min_distance"):

@@ -66,6 +66,17 @@ def _runs(lengths: np.ndarray, points: int | None = None):
         yield from ((a, min(a + step, hi)) for a in range(lo, hi, step))
 
 
+def signal_blocks(lengths: Sequence[int]):
+    """[lo, hi) runs of consecutive signals with at most BLOCK_POINTS points in all."""
+    lo = total = 0
+    for i, n in enumerate(lengths):
+        if total + n > BLOCK_POINTS and i > lo:
+            yield lo, i
+            lo, total = i, 0
+        total += n
+    yield lo, len(lengths)
+
+
 def abruptness(series: TimeSeries) -> float:
     """Population standard deviation of the first differences.
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DatasetBundle, SampledSeries, TimeSeries
+from .core import DatasetBundle, SampledSeries, TimeSeries, _check_threshold
 from .errors import InfeasibleBudgetError, InvalidInputError
 
 __all__ = [
@@ -39,11 +39,6 @@ class SampleBudget:
             raise InvalidInputError(
                 f"target_fraction must be in (0, 1], got {self.target_fraction}"
             )
-
-
-def _check_threshold(threshold: float) -> None:
-    if not (math.isfinite(threshold) and threshold >= 0.0):
-        raise InvalidInputError(f"threshold must be finite and >= 0, got {threshold}")
 
 
 def lebesgue_sample(series: TimeSeries, threshold: float) -> SampledSeries:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .baselines import interp_pchip
 from .bench import generate_synthetic_corpus
-from .core import SampledSeries, TimeSeries
+from .core import SampledSeries, TimeSeries, _check_threshold
 from .errors import InvalidInputError
 from .sampling import lebesgue_sample
 
@@ -101,8 +101,7 @@ def monte_carlo_convexity_area(samples: int, seed: int, threshold: float = 1.0) 
     """
     if samples < 10_000:
         raise InvalidInputError(f"samples must be >= 10000, got {samples}")
-    if threshold < 0.0:
-        raise InvalidInputError(f"threshold must be >= 0, got {threshold}")
+    _check_threshold(threshold)
     if threshold == 0.0:
         return 0.0
     rng = np.random.default_rng(seed)

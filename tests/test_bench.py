@@ -33,7 +33,7 @@ from lebesgue_interp import (
     run_benchmark,
     run_experiment,
 )
-from lebesgue_interp import bench
+from lebesgue_interp import bench, metrics
 from conftest import PER_SIGNAL
 from oracles import rmse_plain, trace_send_on_delta, ucr_rows_csv
 
@@ -64,6 +64,13 @@ def tsv_pair(tmp_path):
     train.write_text("1\t0.0\t0.1\t0.2\t0.3\n2\t1.0\t0.9\t0.8\t0.7\n")
     test.write_text("1\t0.5\t0.5\t0.5\t0.5\n")
     return train, test
+
+
+def _finite_float(text):
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
 
 
 class TestLoadUcrDataset:
@@ -159,12 +166,29 @@ class TestLoadUcrDataset:
                 want = (c, f"{path}: non-finite value {f!r} at row 3, column {c}")
                 break
         if want is None:
-            got = bench.parse_finite_fields(fields, path, 3, first_column)
+            got = bench.parse_finite_fields(fields, path, [(3, len(fields))], first_column)
             assert got.tobytes() == np.array([float(f) for f in fields]).tobytes()
         else:
             with pytest.raises(ParseError) as err:
-                bench.parse_finite_fields(fields, path, 3, first_column)
+                bench.parse_finite_fields(fields, path, [(3, len(fields))], first_column)
             assert (err.value.row, err.value.column, str(err.value)) == (3, *want)
+
+    @given(st.lists(st.lists(_fields, max_size=4), max_size=5), st.integers(0, 1))
+    @settings(max_examples=200)
+    def test_parse_finite_fields_names_the_line_of_a_bad_field(self, rows, first_column):
+        # row r holds rows[r]; the column counts within the row
+        path = "F.txt"
+        fields = [f for row in rows for f in row]
+        lines = list(zip(range(len(rows)), np.cumsum([len(row) for row in rows]).tolist()))
+        bad = [(r, c) for r, row in enumerate(rows) for c, f in enumerate(row, first_column)
+               if not _finite_float(f)]
+        if not bad:
+            got = bench.parse_finite_fields(fields, path, lines, first_column)
+            assert got.tobytes() == np.array([float(f) for f in fields]).tobytes()
+        else:
+            with pytest.raises(ParseError) as err:
+                bench.parse_finite_fields(fields, path, lines, first_column)
+            assert (err.value.row, err.value.column) == bad[0]
 
 
 class TestSyntheticCorpus:
@@ -282,6 +306,10 @@ class TestRunExperiment:
         with pytest.raises(InvalidInputError):
             ExperimentConfig(methods=("zoh", "magic"))
 
+    def test_repeated_method_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"named more than once: \['zoh'\]$"):
+            ExperimentConfig(methods=("zoh", "linear", "zoh"))
+
     def test_deterministic_given_config(self):
         bundle = generate_synthetic_corpus(10, {"sine": 4}, length=200, name="s")
         r1 = run_experiment(bundle, ExperimentConfig())
@@ -316,7 +344,7 @@ class TestBlockedScoring:
         subsequent_min=st.integers(0, 5),
         subsequent_max=st.one_of(st.none(), st.integers(1, 40)),
         riemann=st.booleans(),
-        block=st.sampled_from([64, 700, bench.BLOCK_POINTS]),
+        block=st.sampled_from([64, 700, metrics.BLOCK_POINTS]),
     )
     # length-1, one-knot and two-knot signals, and one longer than its block
     @example(seed=0, specs=[("walk", 1), ("flat", 30), ("step", 40), ("walk", 300), ("walk", 1)],
@@ -344,7 +372,7 @@ class TestBlockedScoring:
             for ts in signals
         ]
         params = ReconstructionParams(threshold, ratio, previous, subsequent_min, subsequent_max)
-        with mock.patch.object(bench, "BLOCK_POINTS", block):
+        with mock.patch.object(metrics, "BLOCK_POINTS", block):
             scores = bench._score_sampled(signals, sampled, params, tuple(METHODS), "")
         for m, score in zip(METHODS, scores):
             want = [rmse(ts.values, PER_SIGNAL[m](s, params)) for ts, s in zip(signals, sampled)]
@@ -370,7 +398,7 @@ class TestBlockedScoring:
     def test_one_block_peak_memory(self):
         # one full block of walks: each plan's knots, grid map and tail hold,
         # one kernel output at a time and the kernel's own temporaries
-        bundle = generate_synthetic_corpus(5, {"walk": bench.BLOCK_POINTS // 512}, length=512)
+        bundle = generate_synthetic_corpus(5, {"walk": metrics.BLOCK_POINTS // 512}, length=512)
         sampled = [lebesgue_sample(ts, 0.05) for ts in bundle.signals]
         params = ReconstructionParams(0.05)
         for _ in range(2):  # the first call's allocations are not the scorer's
@@ -381,18 +409,18 @@ class TestBlockedScoring:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-        assert peak <= 14 * 8 * bench.BLOCK_POINTS
+        assert peak <= 14 * 8 * metrics.BLOCK_POINTS
 
     @pytest.mark.parametrize("mode", list(ExperimentMode))
     def test_reports_do_not_depend_on_block_size(self, tmp_path, mode):
         bundles = [generate_synthetic_corpus(5, {"walk": 6, "sine": 6, "triangle": 6}, 400)]
         config = ExperimentConfig(mode=mode)
         files = {}
-        for block in (64, bench.BLOCK_POINTS):
-            with mock.patch.object(bench, "BLOCK_POINTS", block):
+        for block in (64, metrics.BLOCK_POINTS):
+            with mock.patch.object(metrics, "BLOCK_POINTS", block):
                 paths = emit_report(run_benchmark(bundles, config), tmp_path / str(block))
             files[block] = {p.name: p.read_bytes() for p in paths}
-        assert files[64] == files[bench.BLOCK_POINTS]
+        assert files[64] == files[metrics.BLOCK_POINTS]
 
 
 class TestEmitReport:

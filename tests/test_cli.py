@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,7 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lebesgue_interp import ReconstructionParams, TimeSeries, lebesgue_sample, verify
+from lebesgue_interp import (
+    ExperimentConfig,
+    ReconstructionParams,
+    TimeSeries,
+    cli,
+    lebesgue_sample,
+    verify,
+)
 from lebesgue_interp.bench import METHODS
 from lebesgue_interp.cli import main
 from conftest import PER_SIGNAL
@@ -344,6 +352,49 @@ class TestBenchCommand:
                      "--synthetic", "walk=2", "--out", str(tmp_path / "x")])
         assert code == 1
 
+    def test_repeated_method_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "generate_synthetic_corpus", None)  # never reached
+        out = tmp_path / "rep"
+        assert main(["bench", "--synthetic", "walk=3", "--length", "100",
+                     "--methods", "zoh,zoh,linear", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: methods named more than once: ['zoh']\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("walk=3,walk=2", "--synthetic names 'walk' twice: 'walk=2'"),
+            ("sine,walk=2,sine=4", "--synthetic names 'sine' twice: 'sine=4'"),
+            ("walk=abc", "--synthetic: cannot parse the count in 'walk=abc'"),
+            ("sine=2,walk=3.5", "--synthetic: cannot parse the count in 'walk=3.5'"),
+        ],
+        ids=["repeat", "repeat-without-count", "text-count", "float-count"],
+    )
+    def test_bad_synthetic_spec_exits_1(self, tmp_path, capsys, spec, message):
+        out = tmp_path / "rep"
+        assert main(["bench", "--synthetic", spec, "--length", "100", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("Unable to allocate 7.45 GiB for an array"),
+             "error: out of memory: Unable to allocate 7.45 GiB for an array\n"),
+            (MemoryError(), "error: out of memory\n"),
+        ],
+        ids=["numpy-message", "bare"],
+    )
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, exc, line):
+        def run_benchmark(bundles, config):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_benchmark", run_benchmark)
+        out = tmp_path / "rep"
+        assert main(["bench", "--synthetic", "walk=1", "--length", "100", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == line
+        assert not out.exists()
+
 
 _EXTREMES = ("1e308", "-1e308", "1.7976931348623157e308", "5e-324", "-5e-324", "0", "-0.0")
 _BAD = ("nan", "inf", "-inf", "abc")
@@ -466,6 +517,22 @@ class TestVerifyAndHelp:
         for flag in ("--method", "--threshold", "--tolerance-ratio",
                      "--prev-dist", "--min-dist", "--max-dist"):
             assert flag in out
+
+    def test_defaults_are_the_config_defaults(self):
+        parser = cli._build_parser()
+        config = ExperimentConfig()
+        params = {f.name: f.default for f in dataclasses.fields(ReconstructionParams)
+                  if f.name != "threshold"}
+        assert {name: getattr(config, name) for name in params} == params
+        sample = parser.parse_args(["sample", "--input", "i", "--output", "o"])
+        assert (sample.threshold, sample.fraction) == (config.threshold, config.target_fraction)
+        bench = parser.parse_args(["bench"])
+        assert (bench.threshold, bench.budget, bench.seed) == (
+            config.threshold, config.target_fraction, config.seed)
+        for args in (bench, parser.parse_args(["reconstruct", "--input", "i", "--output", "o",
+                                               "--method", "zoh"])):
+            flags = (args.tolerance_ratio, args.prev_dist, args.min_dist, args.max_dist)
+            assert dict(zip(params, flags)) == params
 
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["sample", "--frobnicate"]) == 1

@@ -10,8 +10,11 @@ from lebesgue_interp import (
     ReconstructionParams,
     SampledSeries,
     TimeSeries,
+    lebesgue_sample,
     normalize_unit_interval,
 )
+from lebesgue_interp.sampling import _kept_fraction
+from lebesgue_interp.verify import monte_carlo_convexity_area
 from oracles import points
 
 finite_values = st.lists(
@@ -130,6 +133,21 @@ class TestReconstructionParams:
     def test_negative_distance_rejected(self):
         with pytest.raises(InvalidInputError):
             ReconstructionParams(threshold=0.05, previous_distance=-1)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+def test_threshold_rule_is_the_same_everywhere(threshold):
+    makers = [
+        lambda: SampledSeries(np.array([0]), np.array([0.0]), 5, threshold),
+        lambda: ReconstructionParams(threshold),
+        lambda: lebesgue_sample(TimeSeries([0.0, 1.0]), threshold),
+        lambda: _kept_fraction([[0.0, 1.0]], threshold),
+        lambda: monte_carlo_convexity_area(10_000, 0, threshold),
+    ]
+    for make in makers:
+        with pytest.raises(InvalidInputError) as err:
+            make()
+        assert str(err.value) == f"threshold must be finite and >= 0, got {threshold}"
 
 
 class TestEqualLengthCheck:
