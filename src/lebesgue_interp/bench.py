@@ -22,13 +22,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .baselines import chord_kernel, cubic_kernel, hold_kernel, nearest_kernel, reconstruct_block
-from .core import (
-    DatasetBundle,
-    ReconstructionParams,
-    SampledSeries,
-    TimeSeries,
-    normalize_unit_interval,
-)
+from .core import DatasetBundle, ReconstructionParams, _normalize
 from .errors import InvalidInputError, ParseError
 from .metrics import (
     DatasetResult,
@@ -40,7 +34,7 @@ from .metrics import (
     rmse_per_signal,
     signal_blocks,
 )
-from .sampling import SampleBudget, lebesgue_sample, riemann_sample, tune_threshold
+from .sampling import SampleBudget, _periodic, _send_on_delta, tune_threshold
 from .zelic import ANCHORS, TURNS
 
 __all__ = [
@@ -195,7 +189,7 @@ def load_ucr_dataset(
         stem = train_path.stem
         ends = [s for s in ("_TRAIN", "_TEST", "_train", "_test") if stem.endswith(s)]
         name = stem[: -len(ends[0])] if ends else stem
-    return DatasetBundle(name=name, signals=tuple(TimeSeries(r) for r in rows))
+    return DatasetBundle._flat(name, np.concatenate(rows), np.cumsum([0, *map(len, rows)]))
 
 
 # ---------------------------------------------------------------------------
@@ -298,12 +292,9 @@ def generate_synthetic_corpus(
         if count < 1:
             raise InvalidInputError(f"count for {family!r} must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    signals: list[TimeSeries] = []
-    for family, count in counts.items():
-        gen = _FAMILIES[family]
-        for _ in range(count):
-            signals.append(normalize_unit_interval(TimeSeries(gen(rng, length))))
-    return DatasetBundle(name=name, signals=tuple(signals))
+    raw = [_FAMILIES[family](rng, length) for family, n in counts.items() for _ in range(n)]
+    offsets = np.arange(len(raw) + 1) * length
+    return DatasetBundle._flat(name, _normalize(np.concatenate(raw), offsets), offsets)
 
 
 def merge_bundles(name: str, bundles: Sequence[DatasetBundle]) -> DatasetBundle:
@@ -318,37 +309,40 @@ def merge_bundles(name: str, bundles: Sequence[DatasetBundle]) -> DatasetBundle:
 # ---------------------------------------------------------------------------
 
 
-def _score_sampled(
-    signals: Sequence[TimeSeries],
-    sampled: Sequence[SampledSeries],
-    params: ReconstructionParams,
-    methods: Sequence[str],
-    prefix: str,
-) -> list[MethodScore]:
-    """Each method's per-signal RMSE. Each block runs each knot plan once and
-    every kernel of that plan over it in turn; every signal must reproduce
-    its kept points exactly."""
+def _score_sampled(values: np.ndarray, offsets: np.ndarray, kept: np.ndarray,
+                   params: ReconstructionParams, methods: Sequence[str], prefix: str,
+                   band: bool) -> list[MethodScore]:
+    """Each method's RMSE on each signal ``values[offsets[i]:offsets[i + 1]]`` sampled at the
+    positions ``kept``. Each block runs each knot plan once and every kernel of that plan over
+    it in turn. Every signal must reproduce its kept points exactly and, with ``band``, keep
+    each skipped point strictly inside the band of ``params.threshold`` around the last kept."""
     table: dict[str, list[float]] = {m: [] for m in methods}
     by_plan: dict[Callable | None, list[str]] = {}
     for m in methods:
         by_plan.setdefault(METHODS[m][1], []).append(m)
-    for lo, hi in signal_blocks([s.source_length for s in sampled]):
-        block = sampled[lo:hi]
-        bounds = np.cumsum([0] + [s.source_length for s in block])
-        knots = np.cumsum([0] + [len(s) for s in block])
-        x = np.concatenate([s.indices + b for s, b in zip(block, bounds)])
-        y = np.concatenate([s.values for s in block])
-        first = np.zeros(x.size, dtype=bool)
-        first[knots[:-1]] = True
-        v = np.concatenate([ts.values for ts in signals[lo:hi]])
+    knots = np.searchsorted(kept, offsets)  # signal i keeps kept[knots[i]:knots[i + 1]]
+    first = np.zeros(kept.size, dtype=bool)
+    first[knots[:-1]] = True
+    for lo, hi in signal_blocks(np.diff(offsets).tolist()):
+        base, n = offsets[lo], int(offsets[hi] - offsets[lo])
+        v, bounds = values[base : offsets[hi]], offsets[lo : hi + 1] - base
+        x, f = kept[knots[lo] : knots[hi]] - base, first[knots[lo] : knots[hi]]
+        y = v[x]
+        if band:
+            outside = np.abs(v - np.repeat(y, np.diff(x, append=n))) >= params.threshold
+            outside[x] = False
+            if outside.any():
+                i = lo + int(np.searchsorted(bounds, outside.argmax(), side="right")) - 1
+                raise AssertionError(f"signal {i} has a skipped point outside the band "
+                                     f"at threshold {params.threshold!r}")
         for plan, group in by_plan.items():
             kernels = [METHODS[m][2] for m in group]
-            outs = reconstruct_block(plan, kernels, x, y, first, int(bounds[-1]), params)
+            outs = reconstruct_block(plan, kernels, x, y, f, n, params)
             for m in group:
                 out = next(outs)
                 off = np.flatnonzero(out[x] != y)
                 if off.size:
-                    i = lo + int(np.searchsorted(knots, off[0], side="right")) - 1
+                    i = lo + int(np.searchsorted(knots[lo:hi] - knots[lo], off[0], "right")) - 1
                     raise AssertionError(
                         f"method {m!r} failed the interpolation condition on signal {i}"
                     )
@@ -365,31 +359,34 @@ def run_experiment(bundle: DatasetBundle, config: ExperimentConfig) -> MethodRep
     under both regimes with "L "/"R " name prefixes; the event-aware
     methods reuse the tuned threshold as their band parameter in both.
     """
-    normalized = [normalize_unit_interval(ts) for ts in bundle.signals]
+    offsets = bundle.offsets
+    values = _normalize(bundle.values, offsets)
 
     if config.mode is ExperimentMode.FIXED_THRESHOLD:
         threshold = config.threshold
-        regimes = {"": [lebesgue_sample(ts, threshold) for ts in normalized]}
-        achieved = float(np.mean([s.fraction for s in regimes[""]]))
+        kept = _send_on_delta(values, offsets, threshold)
+        regimes = {"": (kept, True)}
+        achieved = float(np.mean(np.diff(np.searchsorted(kept, offsets)) / np.diff(offsets)))
     else:
         budget = SampleBudget(config.target_fraction)
-        threshold, achieved = tune_threshold(DatasetBundle(bundle.name, tuple(normalized)), budget)
+        threshold, achieved = tune_threshold(DatasetBundle._flat(bundle.name, values, offsets),
+                                             budget)
         regimes = {
-            "L ": [lebesgue_sample(ts, threshold) for ts in normalized],
-            "R ": [riemann_sample(ts, budget) for ts in normalized],
+            "L ": (_send_on_delta(values, offsets, threshold), True),
+            "R ": (_periodic(offsets, budget), False),
         }
     params = config.make_params(threshold)
     scores = [
         score
-        for prefix, sampled in regimes.items()
-        for score in _score_sampled(normalized, sampled, params, config.methods, prefix)
+        for prefix, (kept, band) in regimes.items()
+        for score in _score_sampled(values, offsets, kept, params, config.methods, prefix, band)
     ]
     result = DatasetResult(
         dataset=bundle.name,
         scores=tuple(rank_methods(scores)),
         threshold=threshold,
         achieved_fraction=achieved,
-        abruptness=mean_abruptness(bundle.signals),
+        abruptness=mean_abruptness(bundle.values, offsets),
     )
     return aggregate_report([result], config=config.echo())
 

@@ -1,13 +1,14 @@
-"""Shared domain types and per-signal normalization.
+"""Shared domain types and normalization.
 
-The time axis is always the integer sample index 0..n-1; values are float64.
-All types are immutable after construction and safe to share across threads.
+The time axis is always the integer sample index 0..n-1; values are float64,
+read-only after construction, and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +50,13 @@ class TimeSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_signal_array(self.values, "signal"))
+
+    @classmethod
+    def _of(cls, values: np.ndarray) -> TimeSeries:
+        """A series over checked, read-only values, taken without a copy."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "values", values)
+        return series
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -132,21 +140,52 @@ class ReconstructionParams:
         return self.threshold * self.tolerance_ratio
 
 
-@dataclass(frozen=True, eq=False)
 class DatasetBundle:
-    """A named collection of signals."""
+    """A named collection of signals, held flat: signal i is
+    ``values[offsets[i]:offsets[i + 1]]`` of one read-only float64 array."""
 
-    name: str
-    signals: tuple[TimeSeries, ...]
+    def __init__(self, name: str, signals: Sequence[TimeSeries]):
+        arrays = [ts.values for ts in signals]
+        if not arrays:
+            raise InvalidInputError(f"dataset {name!r} is empty")
+        self.name, self.offsets = name, np.cumsum([0, *map(len, arrays)])
+        self.values = np.concatenate(arrays)
+        self.values.setflags(write=False)
 
-    def __post_init__(self):
-        signals = tuple(self.signals)
-        if not signals:
-            raise InvalidInputError(f"dataset {self.name!r} is empty")
-        object.__setattr__(self, "signals", signals)
+    @classmethod
+    def _flat(cls, name: str, values: np.ndarray, offsets: np.ndarray) -> DatasetBundle:
+        """A bundle over finite values, made read-only, and strictly increasing
+        int64 offsets from 0 to ``values.size``, taken without a copy."""
+        bundle = object.__new__(cls)
+        bundle.name, bundle.values, bundle.offsets = name, values, offsets
+        values.setflags(write=False)
+        return bundle
+
+    @property
+    def signals(self) -> tuple[TimeSeries, ...]:
+        """Each signal as a TimeSeries over its slice of ``values``, not a copy."""
+        return tuple(map(TimeSeries._of, np.split(self.values, self.offsets[1:-1])))
 
     def __len__(self) -> int:
-        return len(self.signals)
+        return self.offsets.size - 1
+
+
+def _normalize(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Every signal ``values[offsets[i]:offsets[i + 1]]`` normalized as
+    ``normalize_unit_interval`` does it, into one read-only array: the same
+    IEEE operations per element, with each signal's min and span repeated."""
+    lengths = np.diff(offsets)
+    lo, hi = np.minimum.reduceat(values, offsets[:-1]), np.maximum.reduceat(values, offsets[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+        out = values - np.repeat(lo, lengths)
+        out /= np.repeat(span, lengths)
+    for i in np.flatnonzero((span == 0.0) | np.isinf(span)):  # constant, or hi - lo overflows
+        a, b = offsets[i], offsets[i + 1]
+        v, l, h = values[a:b] / 2.0, lo[i] / 2.0, hi[i] / 2.0
+        out[a:b] = 0.0 if span[i] == 0.0 else (v - l) / (h - l)
+    out.setflags(write=False)
+    return out
 
 
 def normalize_unit_interval(series: TimeSeries) -> TimeSeries:
@@ -156,11 +195,4 @@ def normalize_unit_interval(series: TimeSeries) -> TimeSeries:
     signal stays usable downstream. When hi - lo overflows float64 every
     term is halved first, which is exact outside the subnormal range.
     """
-    v = series.values
-    lo = float(v.min())
-    hi = float(v.max())
-    if hi == lo:
-        return TimeSeries(np.zeros_like(v))
-    if math.isinf(hi - lo):
-        v, lo, hi = v / 2.0, lo / 2.0, hi / 2.0
-    return TimeSeries((v - lo) / (hi - lo))
+    return TimeSeries._of(_normalize(series.values, np.array([0, len(series)])))

@@ -88,20 +88,20 @@ def abruptness(series: TimeSeries) -> float:
     return _overflow_safe(lambda v: np.std(np.diff(v)), series.values)
 
 
-def mean_abruptness(signals: Sequence[TimeSeries]) -> float | None:
-    """Mean abruptness of the signals; None when one has fewer than two points or
-    the mean exceeds the float64 range. Runs of equal-length signals are reduced
-    as rows of one array of at most BLOCK_POINTS points; a row that overflows, alone."""
-    lengths = np.array([len(ts) for ts in signals])
+def mean_abruptness(values: np.ndarray, offsets: np.ndarray) -> float | None:
+    """Mean abruptness of the signals ``values[offsets[i]:offsets[i + 1]]``; None when one has
+    fewer than two points or the mean exceeds the float64 range. Equal-length runs are reduced
+    as rows of a reshaped slice of at most BLOCK_POINTS points; a row that overflows, alone."""
+    lengths = np.diff(offsets)
     if (lengths < 2).any():
         return None
-    sd = np.empty(len(signals))
+    sd = np.empty(lengths.size)
     for lo, hi in _runs(lengths, BLOCK_POINTS):
-        rows = np.stack([ts.values for ts in signals[lo:hi]])
+        rows = values[offsets[lo] : offsets[hi]].reshape(hi - lo, lengths[lo])
         with np.errstate(over="ignore", invalid="ignore"):
             sd[lo:hi] = np.std(np.diff(rows, axis=1), axis=1)
     for i in np.flatnonzero(~np.isfinite(sd)):
-        sd[i] = abruptness(signals[i])
+        sd[i] = abruptness(TimeSeries._of(values[offsets[i] : offsets[i + 1]]))
     mean = _overflow_safe(np.mean, sd)
     return mean if math.isfinite(mean) else None
 

@@ -8,6 +8,7 @@ spreads a fixed count of points evenly over the index range.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +49,24 @@ def lebesgue_sample(series: TimeSeries, threshold: float) -> SampledSeries:
     *kept* value, so every skipped point provably stays strictly inside the
     tolerated band around it. The final point is not force-captured.
     """
+    x = _send_on_delta(series.values, np.array([0, len(series)]), threshold)
+    return SampledSeries(x, series.values[x], source_length=len(series), threshold=threshold)
+
+
+def _send_on_delta(values: np.ndarray, offsets: np.ndarray, threshold: float) -> np.ndarray:
+    """``lebesgue_sample`` of every signal ``values[offsets[i]:offsets[i + 1]]``
+    in one loop that restarts at each offset: the kept positions in ``values``."""
     _check_threshold(threshold)
-    values = series.values.tolist()
-    idx = [0]
-    ref = values[0]
-    for i, v in enumerate(values[1:], 1):
-        if abs(v - ref) >= threshold:
-            idx.append(i)
-            ref = v
-    return SampledSeries(idx, series.values[idx], source_length=len(values), threshold=threshold)
+    kept = array("q")
+    for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        signal = values[a:b].tolist()  # one signal at a time: a list costs 4 floats per value
+        ref = signal[0]
+        kept.append(a)
+        for i, v in enumerate(signal[1:], a + 1):
+            if abs(v - ref) >= threshold:
+                kept.append(i)
+                ref = v
+    return np.frombuffer(kept, dtype=np.int64)
 
 
 def riemann_sample(series: TimeSeries, budget: SampleBudget) -> SampledSeries:
@@ -65,14 +75,19 @@ def riemann_sample(series: TimeSeries, budget: SampleBudget) -> SampledSeries:
     Indices are round(j * (n-1) / (k-1)) for j = 0..k-1 (half-to-even, like
     numpy), deduplicated ascending; both endpoints are included when k >= 2.
     """
-    n = len(series)
-    k = max(1, math.ceil(budget.target_fraction * n))
-    if k == 1:
-        idx = np.zeros(1, dtype=np.int64)
-    else:
-        raw = np.rint(np.arange(k, dtype=np.float64) * (n - 1) / (k - 1)).astype(np.int64)
-        idx = np.unique(raw)
-    return SampledSeries(idx, series.values[idx], source_length=n, threshold=0.0)
+    x = _periodic(np.array([0, len(series)]), budget)
+    return SampledSeries(x, series.values[x], source_length=len(series), threshold=0.0)
+
+
+def _periodic(offsets: np.ndarray, budget: SampleBudget) -> np.ndarray:
+    """``riemann_sample`` of every signal [offsets[i], offsets[i + 1]): the kept
+    positions, the grid of each length built once."""
+    lengths, grids = np.diff(offsets), {}
+    for n in np.unique(lengths).tolist():
+        k = max(1, math.ceil(budget.target_fraction * n))
+        raw = np.rint(np.arange(k, dtype=np.float64) * (n - 1) / max(1, k - 1)).astype(np.int64)
+        grids[n] = np.unique(raw)
+    return np.concatenate([grids[n] + a for a, n in zip(offsets[:-1].tolist(), lengths.tolist())])
 
 
 def threshold_candidates(bundle: DatasetBundle) -> np.ndarray:
@@ -127,7 +142,7 @@ class _DifferenceGrid:
     """
 
     def __init__(self, bundle: DatasetBundle):
-        parts = [np.unique(ts.values) for ts in bundle.signals]
+        parts = [np.unique(v) for v in np.split(bundle.values, bundle.offsets[1:-1])]
         self._last: np.ndarray | None = None
         spans = [float(p[-1]) - float(p[0]) for p in parts]  # Python floats overflow quietly
         if math.isinf(max(spans)):
@@ -259,7 +274,7 @@ def tune_threshold(bundle: DatasetBundle, budget: SampleBudget) -> tuple[float, 
     """
     target = budget.target_fraction
     cands = _DifferenceGrid(bundle)
-    signals = [ts.values.tolist() for ts in bundle.signals]
+    signals = [v.tolist() for v in np.split(bundle.values, bundle.offsets[1:-1])]
     lo, hi = 0, len(cands) - 1
     hi_frac = _kept_fraction(signals, cands[hi])
     if hi_frac > target:

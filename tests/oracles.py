@@ -150,6 +150,18 @@ def pchip_loop(knots, length):
     return out
 
 
+def normalize_scalar(values):
+    """One signal rescaled to [0, 1] from its Python-float extrema: zeros when
+    constant, and every term halved first when max - min overflows."""
+    v = np.asarray(values, dtype=np.float64)
+    lo, hi = float(v.min()), float(v.max())
+    if hi == lo:
+        return np.zeros_like(v)
+    if math.isinf(hi - lo):
+        v, lo, hi = v / 2.0, lo / 2.0, hi / 2.0
+    return (v - lo) / (hi - lo)
+
+
 def bundle_fraction(bundle, threshold):
     """Mean over signals of retained-count / length at one threshold, from
     full SampledSeries, summed in order (``sum`` compensates float sums from

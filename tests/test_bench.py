@@ -286,6 +286,19 @@ class TestRunExperiment:
             run_experiment(bundle, ExperimentConfig(methods=("linear",)))
         assert blocks == [3]  # all three signals in one block
 
+    @pytest.mark.parametrize("mode", list(ExperimentMode))
+    def test_band_checked_on_every_signal(self, monkeypatch, mode):
+        send_on_delta = bench._send_on_delta
+
+        def drops_a_kept_point(values, offsets, threshold):
+            kept = send_on_delta(values, offsets, threshold)
+            return np.delete(kept, np.searchsorted(kept, offsets[1]) + 1)  # signal 1's second
+
+        monkeypatch.setattr(bench, "_send_on_delta", drops_a_kept_point)
+        bundle = generate_synthetic_corpus(10, {"sine": 3}, length=120, name="s")
+        with pytest.raises(AssertionError, match="signal 1 has a skipped point outside the band"):
+            run_experiment(bundle, ExperimentConfig(mode=mode, methods=("linear",)))
+
     def test_budget_mode_prefixes_and_compliance(self):
         bundle = generate_synthetic_corpus(9, {"walk": 6}, length=250, name="w")
         config = ExperimentConfig(mode=ExperimentMode.BUDGET, target_fraction=0.2)
@@ -328,6 +341,14 @@ def _shaped(rng, shape, n):
     else:
         v = np.cumsum(rng.normal(0.0, rng.uniform(0.005, 0.1), size=n))
     return normalize_unit_interval(TimeSeries(v))
+
+
+def _flat(signals, sampled):
+    """The scorer's inputs: the signals end to end, their offsets, and every
+    sampled index as a position in that array."""
+    offsets = np.cumsum([0] + [len(ts) for ts in signals])
+    kept = np.concatenate([s.indices + a for s, a in zip(sampled, offsets.tolist())])
+    return np.concatenate([ts.values for ts in signals]), offsets, kept
 
 
 class TestBlockedScoring:
@@ -373,7 +394,8 @@ class TestBlockedScoring:
         ]
         params = ReconstructionParams(threshold, ratio, previous, subsequent_min, subsequent_max)
         with mock.patch.object(metrics, "BLOCK_POINTS", block):
-            scores = bench._score_sampled(signals, sampled, params, tuple(METHODS), "")
+            scores = bench._score_sampled(*_flat(signals, sampled), params, tuple(METHODS), "",
+                                          not riemann)
         for m, score in zip(METHODS, scores):
             want = [rmse(ts.values, PER_SIGNAL[m](s, params)) for ts, s in zip(signals, sampled)]
             # bit for bit, sign bits included
@@ -382,12 +404,12 @@ class TestBlockedScoring:
     def test_memory_does_not_grow_with_signal_count(self):
         def peak(count):
             bundle = generate_synthetic_corpus(5, {"walk": count}, length=200)
-            sampled = [lebesgue_sample(ts, 0.05) for ts in bundle.signals]
+            flat = _flat(bundle.signals, [lebesgue_sample(ts, 0.05) for ts in bundle.signals])
             params = ReconstructionParams(0.05)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                bench._score_sampled(bundle.signals, sampled, params, tuple(METHODS), "")
+                bench._score_sampled(*flat, params, tuple(METHODS), "", True)
                 return tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -399,13 +421,13 @@ class TestBlockedScoring:
         # one full block of walks: each plan's knots, grid map and tail hold,
         # one kernel output at a time and the kernel's own temporaries
         bundle = generate_synthetic_corpus(5, {"walk": metrics.BLOCK_POINTS // 512}, length=512)
-        sampled = [lebesgue_sample(ts, 0.05) for ts in bundle.signals]
+        flat = _flat(bundle.signals, [lebesgue_sample(ts, 0.05) for ts in bundle.signals])
         params = ReconstructionParams(0.05)
         for _ in range(2):  # the first call's allocations are not the scorer's
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                bench._score_sampled(bundle.signals, sampled, params, tuple(METHODS), "")
+                bench._score_sampled(*flat, params, tuple(METHODS), "", True)
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()

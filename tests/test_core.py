@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lebesgue_interp import (
     DatasetBundle,
@@ -13,9 +13,10 @@ from lebesgue_interp import (
     lebesgue_sample,
     normalize_unit_interval,
 )
+from lebesgue_interp.core import _normalize
 from lebesgue_interp.sampling import _kept_fraction
 from lebesgue_interp.verify import monte_carlo_convexity_area
-from oracles import points
+from oracles import normalize_scalar, points
 
 finite_values = st.lists(
     st.floats(min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False),
@@ -92,6 +93,38 @@ class TestNormalize:
                     assert out.values[i] <= out.values[j]
                 elif v[i] == v[j]:
                     assert out.values[i] == out.values[j]
+
+
+class TestDatasetBundle:
+    def test_signals_held_end_to_end(self):
+        rows = [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]]
+        bundle = DatasetBundle("d", [TimeSeries(r) for r in rows])
+        assert len(bundle) == 3
+        assert bundle.offsets.tolist() == [0, 2, 3, 6]
+        assert bundle.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert [ts.values.tolist() for ts in bundle.signals] == rows
+        with pytest.raises(ValueError):
+            bundle.values[0] = 0.0
+        with pytest.raises(ValueError):
+            bundle.signals[2].values[0] = 0.0
+
+
+class TestFlatNormalize:
+    """One pass over a whole dataset gives each signal the bits that
+    normalizing it alone gives."""
+
+    @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                             max_size=12), min_size=1, max_size=6))
+    @example([[1e308, -1e308, 0.0], [3.0, 3.0], [0.5]])  # the halving path, a constant, one value
+    @example([[5e-324, -0.0, 0.0, -5e-324], [-0.0, 0.0], [2.2e-308, -1.7e308, 1.7e308, 1e-320]])
+    def test_equals_one_signal_at_a_time(self, rows):
+        bundle = DatasetBundle("d", [TimeSeries(r) for r in rows])
+        got = _normalize(bundle.values, bundle.offsets)
+        alone = [normalize_unit_interval(TimeSeries(r)).values for r in rows]
+        # bit for bit, sign bits included, against the library and the scalar oracle
+        assert got.tobytes() == np.concatenate(alone).tobytes()
+        assert got.tobytes() == np.concatenate([normalize_scalar(r) for r in rows]).tobytes()
+        assert not got.flags.writeable
 
 
 class TestSampledSeries:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lebesgue_interp import (
+    DatasetBundle,
     DatasetResult,
     InvalidInputError,
     MethodScore,
@@ -32,6 +33,12 @@ rmse_vectors = st.lists(
 
 def rec(values):
     return np.asarray(values, dtype=np.float64)
+
+
+def _flat(signals):
+    """A dataset's values end to end and its signal offsets."""
+    bundle = DatasetBundle("d", signals)
+    return bundle.values, bundle.offsets
 
 
 class TestRmse:
@@ -130,13 +137,13 @@ class TestAbruptness:
         want = math.ldexp(math.sqrt(var / 4**1024), 1024)  # float(var) would overflow
         got = abruptness(ts(values))
         assert got == pytest.approx(want, rel=1e-15)
-        assert mean_abruptness([ts(values), ts(values)]) == got  # the sum of two overflows
+        assert mean_abruptness(*_flat([ts(values), ts(values)])) == got  # the sum overflows
 
     def test_mean_beyond_the_float_range_is_none(self, ts):
         # SD of the differences -2e308, 2e308, -2e308 is about 1.9e308
         assert abruptness(ts([1e308, -1e308, 1e308, -1e308])) == math.inf
-        assert mean_abruptness([ts([1e308, -1e308, 1e308, -1e308])]) is None
-        assert mean_abruptness([ts([0.0, 1.0]), ts([1.0])]) is None
+        assert mean_abruptness(*_flat([ts([1e308, -1e308, 1e308, -1e308])])) is None
+        assert mean_abruptness(*_flat([ts([0.0, 1.0]), ts([1.0])])) is None
 
     @pytest.mark.parametrize("block", [8, 100, metrics.BLOCK_POINTS])
     def test_ragged_mean_equals_one_signal_at_a_time(self, ts, block):
@@ -145,7 +152,23 @@ class TestAbruptness:
         values = [rng.normal(size=n) * 10.0 ** rng.integers(-3, 4) for n in lengths]
         values[3] = np.array([1e308, -1e308, 1e308, 0.5, 0.0])  # its differences overflow
         with mock.patch.object(metrics, "BLOCK_POINTS", block):
-            got = mean_abruptness([ts(v) for v in values])
+            got = mean_abruptness(*_flat([ts(v) for v in values]))
+        assert got == mean_abruptness_per_signal(values)
+
+    @given(
+        st.lists(st.tuples(st.integers(2, 300), st.integers(1, 6)), min_size=1, max_size=10),
+        st.sampled_from([8, 100, metrics.BLOCK_POINTS]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_flat_runs_equal_one_signal_at_a_time(self, runs, block, seed):
+        # runs of equal lengths, each cut into stacks of at most ``block`` points
+        rng = np.random.default_rng(seed)
+        lengths = [n for n, count in runs for _ in range(count)]
+        values = [rng.normal(size=n) * 10.0 ** rng.integers(-3, 4) for n in lengths]
+        bundle = DatasetBundle("d", [TimeSeries(v) for v in values])
+        with mock.patch.object(metrics, "BLOCK_POINTS", block):
+            got = mean_abruptness(bundle.values, bundle.offsets)
         assert got == mean_abruptness_per_signal(values)
 
     @given(rmse_vectors.filter(lambda v: len(v) >= 2), st.floats(-100, 100, allow_nan=False))

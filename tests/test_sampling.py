@@ -19,7 +19,8 @@ from lebesgue_interp import (
     tune_threshold,
 )
 from lebesgue_interp import sampling
-from lebesgue_interp.sampling import _DifferenceGrid, _kept_fraction
+from lebesgue_interp.core import _normalize
+from lebesgue_interp.sampling import _DifferenceGrid, _kept_fraction, _send_on_delta
 from oracles import bundle_fraction, points, trace_send_on_delta
 
 
@@ -87,6 +88,81 @@ class TestLebesgueSample:
         ts = TimeSeries([0.0, 0.4, 0.6, 0.1, 0.6])
         assert len(lebesgue_sample(ts, 0.4)) == 2
         assert len(lebesgue_sample(ts, 0.5)) == 4
+
+
+def _benchmark_shaped():
+    """Normalized datasets shaped like the three benchmark workloads, each with
+    the thresholds it is sampled at: one per family of 40 x 500 points, 20 walks
+    of 1000 points, and UCR-like rows of 256, 128 and 176 points (bumps,
+    sigmoids and waves at random scale and offset)."""
+    for i, family in enumerate(("step", "ramp", "sine", "triangle", "walk")):
+        yield generate_synthetic_corpus(i, {family: 40}, 500, family), (0.05,)
+    yield generate_synthetic_corpus(4, {"walk": 20}, 1000), (0.004, 0.02, 0.1)
+    rng = np.random.default_rng(4)
+    for n, shape in ((256, "bump"), (128, "sigmoid"), (176, "wave")):
+        x = np.linspace(0.0, 1.0, n)
+        rows = []
+        for _ in range(60):
+            c, w = rng.uniform(0.25, 0.75), rng.uniform(0.05, 0.3)
+            if shape == "bump":
+                y = np.exp(-0.5 * ((x - c) / w) ** 2)
+            elif shape == "sigmoid":
+                y = 1.0 / (1.0 + np.exp((c - x) / w))
+            else:
+                y = np.sin(2.0 * np.pi * (x / w / 4.0 + c)) + 0.1 * x
+            rows.append(TimeSeries(y * rng.uniform(0.5, 20.0) + rng.uniform(-50.0, 50.0)))
+        raw = DatasetBundle(shape, rows)
+        yield DatasetBundle._flat(shape, _normalize(raw.values, raw.offsets), raw.offsets), (0.05,)
+
+
+def _traced(bundle, threshold):
+    """Every signal's naive trace, as positions in the bundle's values."""
+    return [a + i for a, ts in zip(bundle.offsets.tolist(), bundle.signals)
+            for i, _ in trace_send_on_delta(ts.values.tolist(), threshold)]
+
+
+# ragged rows, one-value rows, constant rows, and walks in steps of 1/64,
+# where |v - ref| == 1/16 happens exactly
+_rows = st.one_of(
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+    st.tuples(st.floats(-1.0, 1.0), st.integers(1, 30)).map(lambda c: [c[0]] * c[1]),
+    st.lists(st.integers(-8, 8), min_size=1, max_size=60).map(lambda k: list(np.cumsum(k) / 64)),
+)
+
+
+class TestFlatSampler:
+    """One send-on-delta loop over a whole dataset keeps, signal by signal,
+    exactly the points the naive trace keeps."""
+
+    def test_equals_naive_trace_on_benchmark_shaped_corpora(self):
+        for bundle, thresholds in _benchmark_shaped():
+            for t in thresholds:
+                kept = _send_on_delta(bundle.values, bundle.offsets, t)
+                assert kept.tolist() == _traced(bundle, t), (bundle.name, t)
+
+    @given(rows=st.lists(_rows, min_size=1, max_size=8),
+           threshold=st.sampled_from([0.0, 1 / 16, 0.05, 0.5, 1e3]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_naive_trace_on_edge_rows(self, rows, threshold):
+        bundle = DatasetBundle("d", [TimeSeries(r) for r in rows])
+        assert _send_on_delta(bundle.values, bundle.offsets, threshold).tolist() == _traced(
+            bundle, threshold)
+
+    def test_peak_memory_of_normalizing_and_sampling_a_dataset(self):
+        # 300 x 256 points, as a UCR dataset: each signal goes to a Python list
+        # on its own, so no step holds the dataset as Python floats
+        rng = np.random.default_rng(4)
+        values = np.cumsum(rng.normal(size=(300, 256)), axis=1).ravel()
+        offsets = np.arange(301) * 256
+        for _ in range(2):  # the first call's allocations are not the dataset's
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                _send_on_delta(_normalize(values, offsets), offsets, 0.05)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak <= 3 * values.nbytes
 
 
 class TestRiemannSample:
