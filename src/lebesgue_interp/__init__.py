@@ -19,7 +19,6 @@ from .bench import (
     emit_report,
     generate_synthetic_corpus,
     load_ucr_dataset,
-    merge_bundles,
     run_benchmark,
     run_experiment,
 )
@@ -49,7 +48,6 @@ from .sampling import (
     SampleBudget,
     lebesgue_sample,
     riemann_sample,
-    threshold_candidates,
     tune_threshold,
 )
 from .zelic import (
@@ -87,7 +85,6 @@ __all__ = [
     "interp_zoh",
     "lebesgue_sample",
     "load_ucr_dataset",
-    "merge_bundles",
     "normalize_unit_interval",
     "rank_methods",
     "reconstruct_zechip",
@@ -98,6 +95,5 @@ __all__ = [
     "rmse",
     "run_benchmark",
     "run_experiment",
-    "threshold_candidates",
     "tune_threshold",
 ]

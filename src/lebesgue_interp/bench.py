@@ -43,7 +43,6 @@ __all__ = [
     "ExperimentConfig",
     "load_ucr_dataset",
     "generate_synthetic_corpus",
-    "merge_bundles",
     "run_experiment",
     "run_benchmark",
     "emit_report",
@@ -167,12 +166,10 @@ def _parse_rows(path: Path) -> list[np.ndarray]:
 
 
 def load_ucr_dataset(
-    train_path: str | os.PathLike,
-    test_path: str | os.PathLike | None = None,
-    *,
-    name: str | None = None,
+    train_path: str | os.PathLike, test_path: str | os.PathLike | None = None
 ) -> DatasetBundle:
-    """Load a UCR archive TSV file pair into one bundle.
+    """Load a UCR archive TSV file pair into one bundle, named after the train
+    file's stem without its _TRAIN/_TEST suffix (either case).
 
     Rows are a label followed by the signal values, tab separated; labels
     are discarded, trailing NaN padding is trimmed and train rows come
@@ -185,10 +182,9 @@ def load_ucr_dataset(
     if not rows:
         raise InvalidInputError(f"no data rows in {train_path}")
 
-    if name is None:
-        stem = train_path.stem
-        ends = [s for s in ("_TRAIN", "_TEST", "_train", "_test") if stem.endswith(s)]
-        name = stem[: -len(ends[0])] if ends else stem
+    stem = train_path.stem
+    ends = [s for s in ("_TRAIN", "_TEST", "_train", "_test") if stem.endswith(s)]
+    name = stem[: -len(ends[0])] if ends else stem
     return DatasetBundle._flat(name, np.concatenate(rows), np.cumsum([0, *map(len, rows)]))
 
 
@@ -297,13 +293,6 @@ def generate_synthetic_corpus(
     return DatasetBundle._flat(name, _normalize(np.concatenate(raw), offsets), offsets)
 
 
-def merge_bundles(name: str, bundles: Sequence[DatasetBundle]) -> DatasetBundle:
-    """Concatenate bundles into one, signals in bundle order."""
-    if not bundles:
-        raise InvalidInputError("no bundles to merge")
-    return DatasetBundle(name=name, signals=tuple(s for b in bundles for s in b.signals))
-
-
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
@@ -405,11 +394,7 @@ def run_benchmark(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float | int | None) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, int):
-        return str(x)
+def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 

@@ -155,7 +155,7 @@ def _discover_datasets(data_dir: Path):
     if not trains:
         raise FileNotFoundError(f"no *_TRAIN.tsv files under {data_dir}")
     for train in trains:
-        test = train.with_name(train.name.replace("_TRAIN", "_TEST"))
+        test = train.with_name(train.name[: -len("_TRAIN.tsv")] + "_TEST.tsv")
         yield train, (test if test.exists() else None)
 
 
@@ -275,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (InvalidInputError, ValueError) as exc:
+    except ValueError as exc:  # every error of .errors is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's message names the array it could not allocate

@@ -151,14 +151,16 @@ class DatasetBundle:
         self.name, self.offsets = name, np.cumsum([0, *map(len, arrays)])
         self.values = np.concatenate(arrays)
         self.values.setflags(write=False)
+        self.offsets.setflags(write=False)
 
     @classmethod
     def _flat(cls, name: str, values: np.ndarray, offsets: np.ndarray) -> DatasetBundle:
-        """A bundle over finite values, made read-only, and strictly increasing
-        int64 offsets from 0 to ``values.size``, taken without a copy."""
+        """A bundle over finite values and strictly increasing int64 offsets
+        from 0 to ``values.size``, both taken without a copy and made read-only."""
         bundle = object.__new__(cls)
         bundle.name, bundle.values, bundle.offsets = name, values, offsets
         values.setflags(write=False)
+        offsets.setflags(write=False)
         return bundle
 
     @property

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -122,7 +123,7 @@ def _overflow_safe(stat, *arrays: np.ndarray) -> float:
 @dataclass(frozen=True)
 class MethodScore:
     """Per-dataset scores for one method; the mean and median derive from
-    the per-signal RMSEs."""
+    the per-signal RMSEs, each computed on its first read."""
 
     method_name: str
     per_signal_rmse: tuple[float, ...]
@@ -132,11 +133,11 @@ class MethodScore:
         if not self.per_signal_rmse:
             raise InvalidInputError(f"method {self.method_name!r} has no scores")
 
-    @property
+    @cached_property
     def mean_rmse(self) -> float:
         return float(np.mean(self.per_signal_rmse))
 
-    @property
+    @cached_property
     def median_rmse(self) -> float:
         return float(np.median(self.per_signal_rmse))
 

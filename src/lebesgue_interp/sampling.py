@@ -21,7 +21,6 @@ __all__ = [
     "lebesgue_sample",
     "riemann_sample",
     "tune_threshold",
-    "threshold_candidates",
 ]
 
 # Budget tuning reads its candidate grid in value buckets of at most this many

@@ -16,7 +16,7 @@ import numpy as np
 
 from .baselines import interp_pchip
 from .bench import generate_synthetic_corpus
-from .core import SampledSeries, TimeSeries, _check_threshold
+from .core import SampledSeries, TimeSeries
 from .errors import InvalidInputError
 from .sampling import lebesgue_sample
 
@@ -89,26 +89,22 @@ def abrupt_limit_condition(xa: int, ya: float, xb: int, yb: float, threshold: fl
     return xb - 1 > threshold / abs(slope) + xa
 
 
-def monte_carlo_convexity_area(samples: int, seed: int, threshold: float = 1.0) -> float:
+def monte_carlo_convexity_area(samples: int, seed: int) -> float:
     """Fraction of the tolerated box lying between the chord and its top edge.
 
     Canonical turn-shaped configuration: the right endpoint sits exactly one
     threshold above the left, so the chord cuts the box [x_i, x_{i+1}] x
     [y_i - t, y_i + t] into a triangle of a quarter of its area; the result
-    is independent of the endpoints chosen. Points are counted strictly
-    between the chord and the upper bound. A zero threshold collapses the
-    box, so the fraction is 0 by convention.
+    depends neither on the endpoints nor on t, so the box is [0, 1] x [-1, 1]
+    around y_i = 0. Points are counted strictly between the chord and the
+    upper bound.
     """
     if samples < 10_000:
         raise InvalidInputError(f"samples must be >= 10000, got {samples}")
-    _check_threshold(threshold)
-    if threshold == 0.0:
-        return 0.0
     rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, 1.0, size=samples)  # the box [0, 1] x [-t, t] around y_i = 0
-    y = rng.uniform(-threshold, threshold, size=samples)
-    chord = threshold * x  # rises from 0 to t
-    return np.count_nonzero((y > chord) & (y < threshold)) / samples
+    x = rng.uniform(0.0, 1.0, size=samples)
+    y = rng.uniform(-1.0, 1.0, size=samples)
+    return np.count_nonzero((y > x) & (y < 1.0)) / samples  # the chord rises from 0 to 1
 
 
 def _walk_cases(seed: int, count: int):

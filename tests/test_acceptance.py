@@ -8,18 +8,18 @@ import numpy as np
 import pytest
 
 from lebesgue_interp import (
+    DatasetBundle,
     ExperimentConfig,
     SampleBudget,
     generate_synthetic_corpus,
     load_ucr_dataset,
-    merge_bundles,
     run_experiment,
-    threshold_candidates,
     tune_threshold,
     verify,
 )
 from lebesgue_interp.baselines import interp_pchip
 from lebesgue_interp.cli import main as cli_main
+from lebesgue_interp.sampling import threshold_candidates
 from conftest import find_ucr_dataset, make_sampled
 from oracles import bundle_fraction
 
@@ -43,10 +43,13 @@ def ordering_corpus():
         rep = run_experiment(bundle, config)
         return {s.method_name: s.mean_rmse for s in rep.summary}
 
+    def merged(name, parts):
+        return DatasetBundle(name, [s for b in parts for s in b.signals])
+
     started = time.perf_counter()
     scores = {
-        "full": means(merge_bundles("full", [bundles[f] for f in families])),
-        "rampsine": means(merge_bundles("rampsine", [bundles["ramp"], bundles["sine"]])),
+        "full": means(merged("full", [bundles[f] for f in families])),
+        "rampsine": means(merged("rampsine", [bundles["ramp"], bundles["sine"]])),
         "step": means(bundles["step"]),
         "triangle": means(bundles["triangle"]),
     }

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,7 +28,6 @@ from lebesgue_interp import (
     interp_zoh,
     lebesgue_sample,
     load_ucr_dataset,
-    merge_bundles,
     normalize_unit_interval,
     riemann_sample,
     rmse,
@@ -34,6 +35,7 @@ from lebesgue_interp import (
     run_experiment,
 )
 from lebesgue_interp import bench, metrics
+from lebesgue_interp.cli import main
 from conftest import PER_SIGNAL
 from oracles import rmse_plain, trace_send_on_delta, ucr_rows_csv
 
@@ -235,6 +237,18 @@ class TestSyntheticCorpus:
             generate_synthetic_corpus(0, {})
 
 
+def test_bundle_offsets_are_read_only(ts, tsv_pair):
+    # a written offset would re-cut the dataset into other signals
+    bundles = [
+        DatasetBundle("d", (ts([0.0, 1.0]), ts([2.0]))),
+        load_ucr_dataset(*tsv_pair),
+        generate_synthetic_corpus(1, {"walk": 3}, 50),
+    ]
+    for bundle in bundles:
+        with pytest.raises(ValueError):
+            bundle.offsets[1] = 7
+
+
 class TestRunExperiment:
     def test_constant_signal_all_methods_tie(self, ts):
         bundle = DatasetBundle("flat", (ts([3.0] * 40),))
@@ -242,13 +256,11 @@ class TestRunExperiment:
         assert all(s.mean_rmse == 0.0 for s in report.summary)
 
     def test_event_aware_beats_baselines_on_steps_and_ramps(self):
-        bundle = merge_bundles(
-            "mix",
-            [
-                generate_synthetic_corpus(6, {"step": 10}, length=300, name="s"),
-                generate_synthetic_corpus(7, {"ramp": 10}, length=300, name="r"),
-            ],
-        )
+        bundles = [
+            generate_synthetic_corpus(6, {"step": 10}, length=300, name="s"),
+            generate_synthetic_corpus(7, {"ramp": 10}, length=300, name="r"),
+        ]
+        bundle = DatasetBundle("mix", [s for b in bundles for s in b.signals])
         report = run_experiment(bundle, ExperimentConfig())
         by_name = {s.method_name: s.mean_rmse for s in report.summary}
         assert by_name["ZeLi"] < by_name["Linear"]
@@ -351,6 +363,28 @@ def _flat(signals, sampled):
     return np.concatenate([ts.values for ts in signals]), offsets, kept
 
 
+def _ragged_ucr_dir(root):
+    """Two UCR datasets with CRLF line ends: Alpha's rows differ in length, every
+    row has up to 3 NaN pads, and Beta's test file ends with a constant row and a
+    row spanning 1e308 .. -1e308, which take the normalization's zero and halving
+    paths."""
+    rng = np.random.default_rng(3)
+    for name in ("Alpha", "Beta"):
+        (root / name).mkdir(parents=True)
+        for part in ("TRAIN", "TEST"):
+            lines = []
+            for r in range(30):
+                n = int(rng.integers(33, 201)) if name == "Alpha" else 120
+                y = np.cumsum(rng.normal(size=n)) * rng.uniform(0.1, 30.0)
+                pad = ["NaN"] * int(rng.integers(0, 4))
+                lines.append("\t".join([str(1 + r % 3), *map(repr, y.tolist()), *pad]))
+            if name == "Beta" and part == "TEST":
+                for y in (np.full(120, 3.25), np.linspace(1.0, -1.0, 120) * 1e308):
+                    lines.append("\t".join(["1", *map(repr, y.tolist())]))
+            (root / name / f"{name}_{part}.tsv").write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    return root
+
+
 class TestBlockedScoring:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -443,6 +477,22 @@ class TestBlockedScoring:
                 paths = emit_report(run_benchmark(bundles, config), tmp_path / str(block))
             files[block] = {p.name: p.read_bytes() for p in paths}
         assert files[64] == files[metrics.BLOCK_POINTS]
+        # the same through the CLI, on synthetic families and on a ragged UCR directory
+        experiment = "1" if mode is ExperimentMode.FIXED_THRESHOLD else "2"
+        runs = {
+            "synthetic": ["--synthetic", "walk=6,sine=6,triangle=6", "--length", "400",
+                          "--seed", "5"],
+            "ucr": ["--data-dir", str(_ragged_ucr_dir(tmp_path / "ucr"))],
+        }
+        for label, argv in runs.items():
+            files = {}
+            for block in (64, metrics.BLOCK_POINTS):
+                out = tmp_path / label / str(block)
+                with mock.patch.object(metrics, "BLOCK_POINTS", block):
+                    assert main(["bench", "--experiment", experiment, *argv, "--out", str(out)]) == 0
+                files[block] = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert files[64] == files[metrics.BLOCK_POINTS], label
+        assert not hasattr(bench, "BLOCK_POINTS")  # the block size lives in metrics only
 
 
 class TestEmitReport:
@@ -509,3 +559,15 @@ class TestRunBenchmark:
         assert [d.dataset for d in report.datasets] == ["a", "b"]
         total_wins = sum(s.wins for s in report.summary)
         assert total_wins == 2  # one winner per dataset
+
+
+def test_every_benchmark_target_exists():
+    # the benchmark traces these functions by name and reports one it cannot find as absent
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    absent = [f"{module}.{func}" for module, func, _ in layers.TARGETS
+              if not callable(getattr(importlib.import_module(f"lebesgue_interp.{module}"), func,
+                                      None))]
+    assert layers.TARGETS and not absent

@@ -14,7 +14,10 @@ from lebesgue_interp import (
     ReconstructionParams,
     TimeSeries,
     cli,
+    emit_report,
     lebesgue_sample,
+    load_ucr_dataset,
+    run_benchmark,
     verify,
 )
 from lebesgue_interp.bench import METHODS
@@ -261,6 +264,24 @@ class TestBenchCommand:
                      "--methods", "zoh,linear"])
         assert code == 0
         assert (out / "Lines_rmse.csv").exists()
+
+    def test_data_dir_pairs_files_by_their_suffix_only(self, tmp_path):
+        # "_TRAIN" inside the dataset name must not change the test file looked for
+        data = tmp_path / "data"
+        data.mkdir()
+        rng = np.random.default_rng(4)
+        rows = ["1\t" + "\t".join(map(repr, np.cumsum(rng.normal(0, 0.1, 80)).tolist()))
+                for _ in range(3)]
+        train, test = data / "X_TRAINSET_TRAIN.tsv", data / "X_TRAINSET_TEST.tsv"
+        train.write_text(rows[0] + "\n")
+        test.write_text("\n".join(rows[1:]) + "\n")
+        assert main(["bench", "--data-dir", str(data), "--out", str(tmp_path / "cli")]) == 0
+        bundle = load_ucr_dataset(train, test)
+        assert (bundle.name, len(bundle)) == ("X_TRAINSET", 3)
+        paths = emit_report(run_benchmark([bundle], ExperimentConfig()), tmp_path / "lib")
+        assert {p.name: p.read_bytes() for p in (tmp_path / "cli").iterdir()} == {
+            p.name: p.read_bytes() for p in paths
+        }
 
     def test_budget_on_constant_rows(self, tmp_path):
         data = tmp_path / "data"

@@ -15,7 +15,6 @@ from lebesgue_interp import (
 )
 from lebesgue_interp.core import _normalize
 from lebesgue_interp.sampling import _kept_fraction
-from lebesgue_interp.verify import monte_carlo_convexity_area
 from oracles import normalize_scalar, points
 
 finite_values = st.lists(
@@ -175,7 +174,6 @@ def test_threshold_rule_is_the_same_everywhere(threshold):
         lambda: ReconstructionParams(threshold),
         lambda: lebesgue_sample(TimeSeries([0.0, 1.0]), threshold),
         lambda: _kept_fraction([[0.0, 1.0]], threshold),
-        lambda: monte_carlo_convexity_area(10_000, 0, threshold),
     ]
     for make in makers:
         with pytest.raises(InvalidInputError) as err:

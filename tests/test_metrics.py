@@ -280,6 +280,15 @@ class TestMethodScore:
         assert s.mean_rmse == float(np.mean(values))
         assert s.median_rmse == float(np.median(values))
 
+    def test_statistics_computed_once(self):
+        s = MethodScore("m", (0.1, 0.4, 0.2))
+        assert s.mean_rmse is s.mean_rmse
+        assert s.median_rmse is s.median_rmse
+        assert (s.mean_rmse, s.median_rmse) == (float(np.mean([0.1, 0.4, 0.2])), 0.2)
+        assert s == MethodScore("m", (0.1, 0.4, 0.2))
+        assert repr(s) == ("MethodScore(method_name='m', per_signal_rmse=(0.1, 0.4, 0.2), "
+                           "rank_position=None)")
+
     def test_no_scores_rejected(self):
         with pytest.raises(InvalidInputError):
             MethodScore("m", ())

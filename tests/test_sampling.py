@@ -15,12 +15,16 @@ from lebesgue_interp import (
     generate_synthetic_corpus,
     lebesgue_sample,
     riemann_sample,
-    threshold_candidates,
     tune_threshold,
 )
 from lebesgue_interp import sampling
 from lebesgue_interp.core import _normalize
-from lebesgue_interp.sampling import _DifferenceGrid, _kept_fraction, _send_on_delta
+from lebesgue_interp.sampling import (
+    _DifferenceGrid,
+    _kept_fraction,
+    _send_on_delta,
+    threshold_candidates,
+)
 from oracles import bundle_fraction, points, trace_send_on_delta
 
 
