@@ -41,7 +41,6 @@ from .metrics import (
     MethodScore,
     abruptness,
     aggregate_report,
-    rank_methods,
     rmse,
 )
 from .sampling import (
@@ -86,7 +85,6 @@ __all__ = [
     "lebesgue_sample",
     "load_ucr_dataset",
     "normalize_unit_interval",
-    "rank_methods",
     "reconstruct_zechip",
     "reconstruct_zechipc",
     "reconstruct_zeli",

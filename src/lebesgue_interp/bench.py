@@ -30,7 +30,6 @@ from .metrics import (
     MethodScore,
     aggregate_report,
     mean_abruptness,
-    rank_methods,
     rmse_per_signal,
     signal_blocks,
 )
@@ -165,6 +164,15 @@ def _parse_rows(path: Path) -> list[np.ndarray]:
     return rows
 
 
+def _ucr_split(path: Path) -> tuple[str, str | None]:
+    """A UCR file's dataset name, its stem without a _TRAIN/_TEST suffix (either
+    case), and the split that suffix names: "train", "test", or None without one."""
+    head, sep, tail = path.stem.rpartition("_")
+    if sep and tail in ("TRAIN", "TEST", "train", "test"):
+        return head, tail.lower()
+    return path.stem, None
+
+
 def load_ucr_dataset(
     train_path: str | os.PathLike, test_path: str | os.PathLike | None = None
 ) -> DatasetBundle:
@@ -181,10 +189,7 @@ def load_ucr_dataset(
         rows += _parse_rows(Path(test_path))
     if not rows:
         raise InvalidInputError(f"no data rows in {train_path}")
-
-    stem = train_path.stem
-    ends = [s for s in ("_TRAIN", "_TEST", "_train", "_test") if stem.endswith(s)]
-    name = stem[: -len(ends[0])] if ends else stem
+    name = _ucr_split(train_path)[0]
     return DatasetBundle._flat(name, np.concatenate(rows), np.cumsum([0, *map(len, rows)]))
 
 
@@ -372,7 +377,7 @@ def run_experiment(bundle: DatasetBundle, config: ExperimentConfig) -> MethodRep
     ]
     result = DatasetResult(
         dataset=bundle.name,
-        scores=tuple(rank_methods(scores)),
+        scores=scores,
         threshold=threshold,
         achieved_fraction=achieved,
         abruptness=mean_abruptness(bundle.values, offsets),
@@ -466,24 +471,16 @@ def emit_report(report: MethodReport, out_dir: str | os.PathLike) -> list[Path]:
                 "achieved_fraction": d.achieved_fraction,
                 "abruptness": d.abruptness,
                 "scores": [
-                    {
-                        "method": s.method_name,
-                        "mean_rmse": s.mean_rmse,
-                        "median_rmse": s.median_rmse,
-                        "rank": s.rank_position,
-                    }
-                    for s in d.scores
+                    {"method": s.method_name, "mean_rmse": s.mean_rmse,
+                     "median_rmse": s.median_rmse, "rank": rank}
+                    for rank, s in enumerate(d.scores, 1)
                 ],
             }
             for d in report.datasets
         ],
         "summary": [
-            {
-                "method": s.method_name,
-                "mean_rmse": s.mean_rmse,
-                "mean_rank": s.mean_rank,
-                "wins": s.wins,
-            }
+            {"method": s.method_name, "mean_rmse": s.mean_rmse, "mean_rank": s.mean_rank,
+             "wins": s.wins}
             for s in report.summary
         ],
     }
@@ -493,7 +490,7 @@ def emit_report(report: MethodReport, out_dir: str | os.PathLike) -> list[Path]:
         [s.method_name, _fmt(s.mean_rmse), _fmt(s.mean_rank), s.wins] for s in report.summary
     ]
     files["boxplot_long.csv"] = [["dataset", "method", "rmse", "rank"]] + [
-        [d.dataset, m, _fmt(d.score_for(m).mean_rmse), d.score_for(m).rank_position]
+        [d.dataset, m, _fmt(d.score_for(m).mean_rmse), d.rank_of(m)]
         for d in report.datasets
         for m in methods
     ]

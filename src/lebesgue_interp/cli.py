@@ -17,6 +17,7 @@ from .bench import (
     METHODS,
     ExperimentConfig,
     ExperimentMode,
+    _ucr_split,
     emit_report,
     generate_synthetic_corpus,
     load_ucr_dataset,
@@ -149,14 +150,24 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-def _discover_datasets(data_dir: Path):
-    """Yield (train, test-or-None) TSV pairs under a directory tree."""
-    trains = sorted(data_dir.rglob("*_TRAIN.tsv"))
-    if not trains:
+def _discover_datasets(data_dir: Path) -> list[tuple[Path, Path | None]]:
+    """(train, test-or-None) pairs, in train-path order, of the ``*.tsv`` files under a
+    directory tree; each file must be the one train or the one test file of its dataset."""
+    found: dict[tuple[Path, str, str | None], list[Path]] = {}
+    for path in sorted(data_dir.rglob("*.tsv")):
+        found.setdefault((path.parent, *_ucr_split(path)), []).append(path)
+    for (folder, name, split), paths in found.items():
+        if split is None:
+            raise InvalidInputError(f"{paths[0]} has no _TRAIN or _TEST suffix")
+        if len(paths) > 1:
+            listed = ", ".join(map(str, paths))
+            raise InvalidInputError(f"one dataset has {len(paths)} {split} files: {listed}")
+        if (folder, name, "train") not in found:
+            raise InvalidInputError(f"{paths[0]} has no train file beside it")
+    if not found:
         raise FileNotFoundError(f"no *_TRAIN.tsv files under {data_dir}")
-    for train in trains:
-        test = train.with_name(train.name[: -len("_TRAIN.tsv")] + "_TEST.tsv")
-        yield train, (test if test.exists() else None)
+    return [(paths[0], found.get((folder, name, "test"), [None])[0])
+            for (folder, name, split), paths in found.items() if split == "train"]
 
 
 def _cmd_bench(args) -> int:
@@ -171,8 +182,7 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
     )
     if args.data_dir:
-        pairs = _discover_datasets(Path(args.data_dir))
-        bundles = [load_ucr_dataset(train, test) for train, test in pairs]
+        bundles = [load_ucr_dataset(*pair) for pair in _discover_datasets(Path(args.data_dir))]
     else:
         counts = {}
         for token in args.synthetic.split(","):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -19,7 +19,6 @@ __all__ = [
     "MethodReport",
     "rmse",
     "abruptness",
-    "rank_methods",
     "aggregate_report",
 ]
 
@@ -127,7 +126,6 @@ class MethodScore:
 
     method_name: str
     per_signal_rmse: tuple[float, ...]
-    rank_position: int | None = None
 
     def __post_init__(self):
         if not self.per_signal_rmse:
@@ -142,23 +140,11 @@ class MethodScore:
         return float(np.median(self.per_signal_rmse))
 
 
-def rank_methods(scores: Sequence[MethodScore]) -> list[MethodScore]:
-    """Rank by mean RMSE ascending; exact ties go to the earlier name.
-
-    Every method must score the same signal set (checked by count).
-    """
-    if not scores:
-        raise InvalidInputError("cannot rank an empty score list")
-    counts = {len(s.per_signal_rmse) for s in scores}
-    if len(counts) > 1:
-        raise InvalidInputError(f"score lists cover different signal counts: {sorted(counts)}")
-    ordered = sorted(scores, key=lambda s: (s.mean_rmse, s.method_name))
-    return [replace(s, rank_position=i + 1) for i, s in enumerate(ordered)]
-
-
 @dataclass(frozen=True)
 class DatasetResult:
-    """Ranked method scores for one dataset plus the sampling context.
+    """Method scores for one dataset in rank order (by mean RMSE, exact ties to the earlier
+    name; a method's rank is its 1-based position), all over one signal count, plus the
+    sampling context.
 
     ``abruptness`` is the mean first-difference SD of the raw signals, or
     None (see ``mean_abruptness``), reported for context (its reference
@@ -174,13 +160,20 @@ class DatasetResult:
     def __post_init__(self):
         if not self.scores:
             raise InvalidInputError(f"dataset {self.dataset!r} has no scores")
-        object.__setattr__(self, "scores", tuple(self.scores))
+        counts = {len(s.per_signal_rmse) for s in self.scores}
+        if len(counts) > 1:
+            raise InvalidInputError(f"score lists cover different signal counts: {sorted(counts)}")
+        ranked = sorted(self.scores, key=lambda s: (s.mean_rmse, s.method_name))
+        object.__setattr__(self, "scores", tuple(ranked))
+
+    def rank_of(self, method_name: str) -> int:
+        for i, s in enumerate(self.scores, 1):
+            if s.method_name == method_name:
+                return i
+        raise KeyError(method_name)
 
     def score_for(self, method_name: str) -> MethodScore:
-        for s in self.scores:
-            if s.method_name == method_name:
-                return s
-        raise KeyError(method_name)
+        return self.scores[self.rank_of(method_name) - 1]
 
 
 @dataclass(frozen=True)
@@ -225,20 +218,12 @@ def aggregate_report(
     method_sets = [frozenset(s.method_name for s in d.scores) for d in per_dataset]
     if any(ms != method_sets[0] for ms in method_sets):
         raise InvalidInputError("datasets report inconsistent method sets")
-    if any(s.rank_position is None for d in per_dataset for s in d.scores):
-        raise InvalidInputError("scores must be ranked before aggregation")
 
     summaries = []
     for name in sorted(method_sets[0]):
         means = [d.score_for(name).mean_rmse for d in per_dataset]
-        ranks = [d.score_for(name).rank_position for d in per_dataset]
-        summaries.append(
-            MethodSummary(
-                method_name=name,
-                mean_rmse=float(np.mean(means)),
-                mean_rank=float(np.mean(ranks)),
-                wins=sum(1 for r in ranks if r == 1),
-            )
-        )
+        ranks = [d.rank_of(name) for d in per_dataset]
+        summaries.append(MethodSummary(name, mean_rmse=float(np.mean(means)),
+                                       mean_rank=float(np.mean(ranks)), wins=ranks.count(1)))
     summaries.sort(key=lambda s: (s.mean_rmse, s.method_name))
     return MethodReport(datasets=tuple(per_dataset), summary=tuple(summaries), config=config)

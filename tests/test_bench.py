@@ -1,6 +1,9 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -571,3 +574,26 @@ def test_every_benchmark_target_exists():
               if not callable(getattr(importlib.import_module(f"lebesgue_interp.{module}"), func,
                                       None))]
     assert layers.TARGETS and not absent
+
+
+_MEMORY_SMOKE = """
+import resource, sys
+from lebesgue_interp.cli import main
+argv = ["bench", "--experiment", "2", "--synthetic", "walk=2", "--length", "6000",
+        "--seed", "3", "--out", sys.argv[1]]
+if main(argv) != 0:
+    sys.exit("bench exited with an error")
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_budget_tuning_memory_stays_bounded(tmp_path):
+    # budget tuning on 2 walks x 6000 points (36M candidate pairs) must not hold its grid;
+    # a child process, so that its peak RSS is this run's alone
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _MEMORY_SMOKE, str(tmp_path / "out")],
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    mb = int(run.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert mb <= 200, f"peak RSS {mb:.1f} MB exceeds 200 MB"

@@ -265,23 +265,51 @@ class TestBenchCommand:
         assert code == 0
         assert (out / "Lines_rmse.csv").exists()
 
-    def test_data_dir_pairs_files_by_their_suffix_only(self, tmp_path):
-        # "_TRAIN" inside the dataset name must not change the test file looked for
+    def _pair_scored_together(self, tmp_path, seed, train_name, test_name, name):
+        """--data-dir scores the train and test rows as one dataset, as the library does."""
         data = tmp_path / "data"
         data.mkdir()
-        rng = np.random.default_rng(4)
+        rng = np.random.default_rng(seed)
         rows = ["1\t" + "\t".join(map(repr, np.cumsum(rng.normal(0, 0.1, 80)).tolist()))
                 for _ in range(3)]
-        train, test = data / "X_TRAINSET_TRAIN.tsv", data / "X_TRAINSET_TEST.tsv"
+        train, test = data / train_name, data / test_name
         train.write_text(rows[0] + "\n")
         test.write_text("\n".join(rows[1:]) + "\n")
         assert main(["bench", "--data-dir", str(data), "--out", str(tmp_path / "cli")]) == 0
         bundle = load_ucr_dataset(train, test)
-        assert (bundle.name, len(bundle)) == ("X_TRAINSET", 3)
+        assert (bundle.name, len(bundle)) == (name, 3)
         paths = emit_report(run_benchmark([bundle], ExperimentConfig()), tmp_path / "lib")
         assert {p.name: p.read_bytes() for p in (tmp_path / "cli").iterdir()} == {
             p.name: p.read_bytes() for p in paths
         }
+
+    def test_data_dir_pairs_files_by_their_suffix_only(self, tmp_path):
+        # "_TRAIN" inside the dataset name must not change the test file looked for
+        self._pair_scored_together(tmp_path, 4, "X_TRAINSET_TRAIN.tsv", "X_TRAINSET_TEST.tsv",
+                                   "X_TRAINSET")
+
+    def test_data_dir_pairs_lower_case_suffixes(self, tmp_path):
+        self._pair_scored_together(tmp_path, 5, "Baz_train.tsv", "Baz_test.tsv", "Baz")
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (["Foo_TRAIN.tsv", "Bar_TEST.tsv"], "{d}/Bar_TEST.tsv has no train file beside it"),
+            (["Foo_TRAIN.tsv", "Foo_train.tsv"],
+             "one dataset has 2 train files: {d}/Foo_TRAIN.tsv, {d}/Foo_train.tsv"),
+            (["Foo_TRAIN.tsv", "notes.tsv"], "{d}/notes.tsv has no _TRAIN or _TEST suffix"),
+        ],
+        ids=["orphan-test", "two-trains", "no-suffix"],
+    )
+    def test_data_dir_file_without_its_place_rejected(self, tmp_path, capsys, names, message):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in names:
+            (data / name).write_text("1\t0.1\t0.4\t0.2\t0.9\n")
+        out = tmp_path / "rep"
+        assert main(["bench", "--data-dir", str(data), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(d=data)}\n"
+        assert not out.exists()
 
     def test_budget_on_constant_rows(self, tmp_path):
         data = tmp_path / "data"

@@ -15,7 +15,6 @@ from lebesgue_interp import (
     TimeSeries,
     abruptness,
     aggregate_report,
-    rank_methods,
     rmse,
 )
 from lebesgue_interp import metrics
@@ -182,9 +181,12 @@ class TestAbruptness:
 
 
 class TestRankMethods:
+    def _ranked(self, scores):
+        return DatasetResult("d", tuple(scores)).scores
+
     def test_single_method(self):
-        ranked = rank_methods([MethodScore("only", (0.1, 0.2))])
-        assert ranked[0].rank_position == 1
+        d = DatasetResult("d", (MethodScore("only", (0.1, 0.2)),))
+        assert d.rank_of("only") == 1
 
     def test_orders_by_mean(self):
         scores = [
@@ -192,28 +194,38 @@ class TestRankMethods:
             MethodScore("ZeChipC", (0.0029,)),
             MethodScore("ZeLiC", (0.0030,)),
         ]
-        ranked = rank_methods(scores)
-        assert [s.method_name for s in ranked] == ["ZeChipC", "ZeLiC", "ZeChip"]
-        assert [s.rank_position for s in ranked] == [1, 2, 3]
+        d = DatasetResult("d", tuple(scores))
+        assert [s.method_name for s in d.scores] == ["ZeChipC", "ZeLiC", "ZeChip"]
+        assert [d.rank_of(s.method_name) for s in d.scores] == [1, 2, 3]
 
     def test_tie_broken_by_name(self):
         scores = [
             MethodScore("beta", (0.5,)),
             MethodScore("alpha", (0.5,)),
         ]
-        ranked = rank_methods(scores)
-        assert [s.method_name for s in ranked] == ["alpha", "beta"]
-        assert [s.rank_position for s in ranked] == [1, 2]
+        d = DatasetResult("d", tuple(scores))
+        assert [s.method_name for s in d.scores] == ["alpha", "beta"]
+        assert [d.rank_of(s.method_name) for s in d.scores] == [1, 2]
+
+    def test_keeps_each_score_object(self):
+        a, b = MethodScore("a", (0.1,)), MethodScore("b", (0.2,))
+        ranked = DatasetResult("d", (b, a)).scores
+        assert ranked[0] is a and ranked[1] is b
+
+    def test_unknown_name_raises_key_error(self):
+        d = DatasetResult("d", (MethodScore("a", (0.1,)),))
+        with pytest.raises(KeyError):
+            d.rank_of("b")
+        with pytest.raises(KeyError):
+            d.score_for("b")
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
-            rank_methods([])
+            DatasetResult("d", ())
 
     def test_mismatched_signal_counts_rejected(self):
         with pytest.raises(InvalidInputError):
-            rank_methods(
-                [MethodScore("a", (0.1,)), MethodScore("b", (0.1, 0.2))]
-            )
+            DatasetResult("d", (MethodScore("a", (0.1,)), MethodScore("b", (0.1, 0.2))))
 
     @given(
         st.lists(st.integers(1, 10_000), min_size=2, max_size=8, unique=True).map(
@@ -228,17 +240,14 @@ class TestRankMethods:
         transformed = [
             MethodScore(f"m{i}", (math.exp(v) * 2.0,)) for i, v in enumerate(means)
         ]
-        order_a = [s.method_name for s in rank_methods(base)]
-        order_b = [s.method_name for s in rank_methods(transformed)]
+        order_a = [s.method_name for s in self._ranked(base)]
+        order_b = [s.method_name for s in self._ranked(transformed)]
         assert order_a == order_b
 
 
 class TestAggregateReport:
     def _result(self, name, pairs):
-        return DatasetResult(
-            dataset=name,
-            scores=tuple(rank_methods([MethodScore(m, (v,)) for m, v in pairs])),
-        )
+        return DatasetResult(dataset=name, scores=tuple(MethodScore(m, (v,)) for m, v in pairs))
 
     def test_single_dataset_passthrough(self):
         res = self._result("d1", [("a", 0.1), ("b", 0.2)])
@@ -266,11 +275,6 @@ class TestAggregateReport:
         with pytest.raises(InvalidInputError):
             aggregate_report([])
 
-    def test_unranked_scores_rejected(self):
-        res = DatasetResult("d", (MethodScore("a", (0.1,)),))
-        with pytest.raises(InvalidInputError):
-            aggregate_report([res])
-
 
 class TestMethodScore:
     @given(st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=20))
@@ -286,8 +290,7 @@ class TestMethodScore:
         assert s.median_rmse is s.median_rmse
         assert (s.mean_rmse, s.median_rmse) == (float(np.mean([0.1, 0.4, 0.2])), 0.2)
         assert s == MethodScore("m", (0.1, 0.4, 0.2))
-        assert repr(s) == ("MethodScore(method_name='m', per_signal_rmse=(0.1, 0.4, 0.2), "
-                           "rank_position=None)")
+        assert repr(s) == "MethodScore(method_name='m', per_signal_rmse=(0.1, 0.4, 0.2))"
 
     def test_no_scores_rejected(self):
         with pytest.raises(InvalidInputError):
