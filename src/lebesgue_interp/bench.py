@@ -345,7 +345,7 @@ def _score_sampled(values: np.ndarray, offsets: np.ndarray, kept: np.ndarray,
     return [MethodScore(prefix + METHODS[m][0], tuple(table[m])) for m in methods]
 
 
-def run_experiment(bundle: DatasetBundle, config: ExperimentConfig) -> MethodReport:
+def run_experiment(bundle: DatasetBundle, config: ExperimentConfig) -> DatasetResult:
     """Sample, reconstruct and score one dataset under the configured protocol.
 
     Fixed-threshold mode samples event-based at ``config.threshold``.
@@ -375,23 +375,18 @@ def run_experiment(bundle: DatasetBundle, config: ExperimentConfig) -> MethodRep
         for prefix, (kept, band) in regimes.items()
         for score in _score_sampled(values, offsets, kept, params, config.methods, prefix, band)
     ]
-    result = DatasetResult(
+    return DatasetResult(
         dataset=bundle.name,
         scores=scores,
         threshold=threshold,
         achieved_fraction=achieved,
         abruptness=mean_abruptness(bundle.values, offsets),
     )
-    return aggregate_report([result], config=config.echo())
 
 
-def run_benchmark(
-    bundles: Sequence[DatasetBundle], config: ExperimentConfig
-) -> MethodReport:
-    """Run the experiment on several datasets and merge the rankings."""
-    reports = [run_experiment(b, config) for b in bundles]
-    per_dataset = [d for r in reports for d in r.datasets]
-    return aggregate_report(per_dataset, config=config.echo())
+def run_benchmark(bundles: Sequence[DatasetBundle], config: ExperimentConfig) -> MethodReport:
+    """Run the experiment on each dataset and build the one report of their rankings."""
+    return aggregate_report([run_experiment(b, config) for b in bundles], config=config.echo())
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,9 @@ def _discover_datasets(data_dir: Path) -> list[tuple[Path, Path | None]]:
 
 def _cmd_bench(args) -> int:
     mode = ExperimentMode.FIXED_THRESHOLD if args.experiment == 1 else ExperimentMode.BUDGET
-    methods = tuple(args.methods.split(",")) if args.methods else tuple(METHODS)
+    if args.data_dir == "":  # Path("") is the working directory
+        raise InvalidInputError("--data-dir is empty; name a directory")
+    methods = tuple(METHODS) if args.methods is None else tuple(args.methods.split(","))
     config = ExperimentConfig(
         mode=mode,
         threshold=args.threshold,
@@ -181,7 +183,7 @@ def _cmd_bench(args) -> int:
         methods=methods,
         seed=args.seed,
     )
-    if args.data_dir:
+    if args.data_dir is not None:
         bundles = [load_ucr_dataset(*pair) for pair in _discover_datasets(Path(args.data_dir))]
     else:
         counts = {}

@@ -194,10 +194,6 @@ class MethodReport:
     summary: tuple[MethodSummary, ...]
     config: Mapping[str, object] | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "datasets", tuple(self.datasets))
-        object.__setattr__(self, "summary", tuple(self.summary))
-
     @property
     def method_names(self) -> tuple[str, ...]:
         return tuple(s.method_name for s in self.summary)

@@ -40,8 +40,7 @@ def ordering_corpus():
     config = ExperimentConfig()
 
     def means(bundle):
-        rep = run_experiment(bundle, config)
-        return {s.method_name: s.mean_rmse for s in rep.summary}
+        return {s.method_name: s.mean_rmse for s in run_experiment(bundle, config).scores}
 
     def merged(name, parts):
         return DatasetBundle(name, [s for b in parts for s in b.signals])
@@ -155,8 +154,7 @@ def test_criterion_8_budget_compliance():
 def test_criterion_9_adiac_dataset_gated():
     train, test = find_ucr_dataset("Adiac")
     bundle = load_ucr_dataset(train, test)
-    report_obj = run_experiment(bundle, ExperimentConfig())
-    d = report_obj.datasets[0]
+    d = run_experiment(bundle, ExperimentConfig())
     fraction_ok = abs(d.achieved_fraction - 0.0981) <= 0.005
     winner = d.scores[0]
     winner_ok = winner.method_name == "ZeChipC"

@@ -106,11 +106,11 @@ class TestLoadUcrDataset:
         bundle = load_ucr_dataset(ragged)
         assert [len(s) for s in bundle.signals] == [3, 2]
         fixed = run_experiment(bundle, ExperimentConfig())
-        assert fixed.datasets[0].achieved_fraction == 1.0
+        assert fixed.achieved_fraction == 1.0
         budget = run_experiment(
             bundle, ExperimentConfig(mode=ExperimentMode.BUDGET, target_fraction=0.5)
         )
-        assert budget.datasets[0].achieved_fraction == (1 / 3 + 1 / 2) / 2
+        assert budget.achieved_fraction == (1 / 3 + 1 / 2) / 2
 
     def test_trailing_nan_padding_trimmed(self, tmp_path):
         padded = tmp_path / "Padded_TRAIN.tsv"
@@ -255,8 +255,8 @@ def test_bundle_offsets_are_read_only(ts, tsv_pair):
 class TestRunExperiment:
     def test_constant_signal_all_methods_tie(self, ts):
         bundle = DatasetBundle("flat", (ts([3.0] * 40),))
-        report = run_experiment(bundle, ExperimentConfig())
-        assert all(s.mean_rmse == 0.0 for s in report.summary)
+        result = run_experiment(bundle, ExperimentConfig())
+        assert all(s.mean_rmse == 0.0 for s in result.scores)
 
     def test_event_aware_beats_baselines_on_steps_and_ramps(self):
         bundles = [
@@ -264,8 +264,8 @@ class TestRunExperiment:
             generate_synthetic_corpus(7, {"ramp": 10}, length=300, name="r"),
         ]
         bundle = DatasetBundle("mix", [s for b in bundles for s in b.signals])
-        report = run_experiment(bundle, ExperimentConfig())
-        by_name = {s.method_name: s.mean_rmse for s in report.summary}
+        result = run_experiment(bundle, ExperimentConfig())
+        by_name = {s.method_name: s.mean_rmse for s in result.scores}
         assert by_name["ZeLi"] < by_name["Linear"]
         assert by_name["ZeLi"] < by_name["Zero"]
 
@@ -274,14 +274,14 @@ class TestRunExperiment:
         # definition, score by the plain formula
         bundle = generate_synthetic_corpus(8, {"walk": 1}, length=150, name="w")
         config = ExperimentConfig(methods=("zoh", "linear"))
-        report = run_experiment(bundle, config)
+        result = run_experiment(bundle, config)
         sig = bundle.signals[0].values  # already normalized
         trace = trace_send_on_delta(sig.tolist(), 0.05)
         s = lebesgue_sample(TimeSeries(sig), 0.05)
         assert list(zip(s.indices.tolist(), s.values.tolist())) == trace
         want_zoh = rmse_plain(sig.tolist(), interp_zoh(s).tolist())
         want_lin = rmse_plain(sig.tolist(), interp_linear(s).tolist())
-        by_name = {sc.method_name: sc.mean_rmse for sc in report.summary}
+        by_name = {sc.method_name: sc.mean_rmse for sc in result.scores}
         assert by_name["Zero"] == pytest.approx(want_zoh, abs=1e-12)
         assert by_name["Linear"] == pytest.approx(want_lin, abs=1e-12)
 
@@ -317,10 +317,9 @@ class TestRunExperiment:
     def test_budget_mode_prefixes_and_compliance(self):
         bundle = generate_synthetic_corpus(9, {"walk": 6}, length=250, name="w")
         config = ExperimentConfig(mode=ExperimentMode.BUDGET, target_fraction=0.2)
-        report = run_experiment(bundle, config)
-        names = set(report.method_names)
+        d = run_experiment(bundle, config)
+        names = {s.method_name for s in d.scores}
         assert {"L ZeLi", "R ZeLi", "L Zero", "R Zero"} <= names
-        d = report.datasets[0]
         assert d.achieved_fraction <= 0.2
         assert d.threshold > 0.0
 
@@ -342,8 +341,13 @@ class TestRunExperiment:
         bundle = generate_synthetic_corpus(10, {"sine": 4}, length=200, name="s")
         r1 = run_experiment(bundle, ExperimentConfig())
         r2 = run_experiment(bundle, ExperimentConfig())
-        for a, b in zip(r1.summary, r2.summary):
-            assert a == b
+        assert r1 == r2
+
+    @pytest.mark.parametrize("mode", list(ExperimentMode))
+    def test_equals_the_one_dataset_report(self, mode):
+        bundle = generate_synthetic_corpus(11, {"walk": 4}, length=200, name="w")
+        config = ExperimentConfig(mode=mode)
+        assert run_experiment(bundle, config) == run_benchmark([bundle], config).datasets[0]
 
 
 def _shaped(rng, shape, n):
@@ -501,7 +505,7 @@ class TestBlockedScoring:
 class TestEmitReport:
     def _report(self):
         bundle = generate_synthetic_corpus(12, {"sine": 3}, length=120, name="tiny")
-        return run_experiment(bundle, ExperimentConfig(methods=("zoh", "linear")))
+        return run_benchmark([bundle], ExperimentConfig(methods=("zoh", "linear")))
 
     def test_files_and_shapes(self, tmp_path):
         report = self._report()
@@ -563,6 +567,14 @@ class TestRunBenchmark:
         total_wins = sum(s.wins for s in report.summary)
         assert total_wins == 2  # one winner per dataset
 
+    def test_aggregates_once(self):
+        bundles = [generate_synthetic_corpus(15 + i, {"sine": 2}, length=120, name=f"d{i}")
+                   for i in range(3)]
+        with mock.patch.object(bench, "aggregate_report", wraps=bench.aggregate_report) as agg:
+            report = run_benchmark(bundles, ExperimentConfig(methods=("zoh", "linear")))
+        assert agg.call_count == 1
+        assert [d.dataset for d in report.datasets] == ["d0", "d1", "d2"]
+
 
 def test_every_benchmark_target_exists():
     # the benchmark traces these functions by name and reports one it cannot find as absent
@@ -574,6 +586,23 @@ def test_every_benchmark_target_exists():
               if not callable(getattr(importlib.import_module(f"lebesgue_interp.{module}"), func,
                                       None))]
     assert layers.TARGETS and not absent
+
+
+@pytest.mark.parametrize("workload", ["fixed-families", "budget-walks", "ucr-cli"])
+def test_benchmark_smoke(workload):
+    # a short traced benchmark run; run.py exits 0 even when a check fails, so read the
+    # verdict it prints last
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
+         "--seconds", "2", "--trace", "1"],
+        cwd=root, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    verdict = json.loads(run.stdout.splitlines()[-1])
+    assert verdict["correct"], run.stderr
+    assert verdict["metrics"]["trace.absent"]["value"] == 0, run.stderr
 
 
 _MEMORY_SMOKE = """

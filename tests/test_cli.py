@@ -409,6 +409,26 @@ class TestBenchCommand:
         assert capsys.readouterr().err == "error: methods named more than once: ['zoh']\n"
         assert not out.exists()
 
+    def test_empty_data_dir_exits_1_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # an empty --data-dir neither falls back to the synthetic corpus nor scans the
+        # working directory, which holds a dataset here
+        monkeypatch.setattr(cli, "generate_synthetic_corpus", None)  # never reached
+        monkeypatch.setattr(cli, "load_ucr_dataset", None)  # never reached
+        (tmp_path / "Here_TRAIN.tsv").write_text("1\t0.0\t0.5\t1.0\n")
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "rep"
+        assert main(["bench", "--data-dir", "", "--synthetic", "walk=2", "--length", "20",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --data-dir is empty; name a directory\n"
+        assert not out.exists()
+
+    def test_empty_methods_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        assert main(["bench", "--synthetic", "walk=2", "--length", "20", "--methods", "",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown methods: ['']; choose from")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "spec, message",
         [
