@@ -8,14 +8,14 @@ point g, to values that reproduce the knots; ``reconstruct_block`` then
 holds each signal's last knot value to its end (under send-on-delta sampling
 the un-fired tail provably stays in the last tolerated band, so holding
 minimizes the worst case). It builds a plan's knots, grid map and tail hold
-once and runs every kernel given over them in turn. A baseline is a kernel
+once and runs every kernel given over them in turn; only ``reconstruct_signal``,
+which takes raw values, retries what overflows float64. A baseline is a kernel
 over one signal's kept points; ``zelic`` adds knot plans.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import cache
 
 import numpy as np
 
@@ -135,45 +135,38 @@ def reconstruct_block(plan, kernels, x, y, first, n: int, params=None):
     knots ``plan`` makes, (x, y, first, params) -> (x, y, first), or over the
     kept points alone, then each signal's last knot value held to its end.
     The plan, its grid map and its tail hold are built once for all kernels.
-
-    Where knot differences overflow and a kernel's output is not finite, that
-    kernel alone runs again on the plan made from values and threshold scaled
-    by 2**-e, 2**e > 16 n, so no term (at most a few grid lengths times a knot
-    difference) overflows, and is scaled back. Power-of-two scaling commutes
-    with rounding outside the subnormal range, so this gives what an unbounded
-    float range would.
     """
-
-    @cache
-    def knots(scale):
-        kx, ky, kfirst = x, y * scale, first
-        if plan is not None:
-            scaled = replace(params, threshold=params.threshold * scale)
-            kx, ky, kfirst = plan(kx, ky, kfirst, scaled)
-        j = np.repeat(np.arange(kx.size), np.diff(kx, append=n))
-        tail = np.append(kfirst[1:], True)[j]
-        return (kx, ky, kfirst, j), tail, ky[j[tail]]
-
+    # Precondition: no kernel term overflows. The scorer's values lie in [0, 1] and its threshold
+    # is at most about 1, so planted knots lie in [-0.5, 1.5]; raw values go via reconstruct_signal.
+    if plan is not None:
+        x, y, first = plan(x, y, first, params)
+    j = np.repeat(np.arange(x.size), np.diff(x, append=n))
+    tail = np.append(first[1:], True)[j]
+    held = y[j[tail]]
     for kernel in kernels:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for scale in (1.0, 2.0 ** -(int(n).bit_length() + 4)):
-                args, tail, held = knots(scale)
-                out = kernel(*args)
-                out[tail] = held
-                if np.isfinite(out).all():
-                    break
-            if scale != 1.0:
-                out /= scale
-                out[x] = y
+        out = kernel(x, y, first, j)
+        out[tail] = held
         yield out
         del out  # the consumer holds the only reference now; let it go before the next kernel
 
 
 def reconstruct_signal(plan, kernel, s: SampledSeries, params=None) -> np.ndarray:
-    """One sampled signal, reconstructed as a block of one."""
+    """One sampled signal, reconstructed as a block of one. An output that is not finite
+    (knot differences overflow) is made again from values and threshold scaled by 2**-e,
+    2**e > 16 n, so no term overflows, then scaled back with its kept points written exactly:
+    power-of-two scaling commutes with rounding outside the subnormal range."""
     first = np.arange(len(s)) == 0
-    return next(reconstruct_block(plan, [kernel], s.indices, s.values, first, s.source_length,
-                                  params))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for scale in (1.0, 2.0 ** -(int(s.source_length).bit_length() + 4)):
+            p = params if plan is None else replace(params, threshold=params.threshold * scale)
+            (out,) = reconstruct_block(plan, [kernel], s.indices, s.values * scale, first,
+                                       s.source_length, p)
+            if np.isfinite(out).all():
+                break
+        if scale != 1.0:
+            out /= scale
+            out[s.indices] = s.values
+    return out
 
 
 def interp_zoh(s: SampledSeries) -> np.ndarray:

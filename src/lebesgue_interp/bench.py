@@ -89,6 +89,8 @@ class ExperimentConfig:
         repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
         if repeated:
             raise InvalidInputError(f"methods named more than once: {repeated}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         SampleBudget(self.target_fraction)  # validate range
         self.make_params(self.threshold)  # validate threshold, ratio and distances
 
@@ -292,10 +294,17 @@ def generate_synthetic_corpus(
             raise InvalidInputError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
         if count < 1:
             raise InvalidInputError(f"count for {family!r} must be >= 1, got {count}")
+    total = sum(counts.values())
+    try:
+        rows = np.empty((total, length))
+    except (MemoryError, ValueError):
+        msg = f"synthetic corpus of {total * length} points does not fit in memory"
+        raise InvalidInputError(msg) from None
     rng = np.random.default_rng(seed)
-    raw = [_FAMILIES[family](rng, length) for family, n in counts.items() for _ in range(n)]
-    offsets = np.arange(len(raw) + 1) * length
-    return DatasetBundle._flat(name, _normalize(np.concatenate(raw), offsets), offsets)
+    for row, family in zip(rows, (f for f, n in counts.items() for _ in range(n))):
+        row[:] = _FAMILIES[family](rng, length)
+    offsets = np.arange(total + 1) * length
+    return DatasetBundle._flat(name, _normalize(rows.ravel(), offsets), offsets)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Scoring and aggregation: RMSE, abruptness, ranking, cross-dataset report."""
+"""Scoring and aggregation: RMSE, abruptness, ranking, cross-dataset report.
+``rmse`` and ``abruptness`` take raw values and retry what overflows float64
+(``_overflow_safe``); the scorer's ``rmse_per_signal`` takes [0, 1] values and has none."""
 
 from __future__ import annotations
 
@@ -33,28 +35,21 @@ def rmse(original: np.ndarray, reconstructed: np.ndarray) -> float:
         raise ShapeError(f"length mismatch: original {n} vs reconstruction {m}")
     if n == 0:
         raise InvalidInputError("rmse of two empty arrays is undefined")
-    return rmse_per_signal(original, reconstructed, (0, n))[0]
+    return _overflow_safe(lambda o, r: rmse_per_signal(o, r, (0, n))[0], original, reconstructed)
 
 
 def rmse_per_signal(
     original: np.ndarray, reconstructed: np.ndarray, bounds: Sequence[int]
 ) -> list[float]:
-    """The RMSE of each signal of a block, signal i being [bounds[i], bounds[i + 1]).
-    Each run of equal-length signals is reduced as the rows of one 2-D array; a
-    signal whose squared error overflows is scored again at a 2**-e scale."""
+    """The RMSE of each signal of a block, signal i being [bounds[i], bounds[i + 1]), each run of
+    equal-length signals reduced as the rows of one 2-D array; no overflow retry ([0, 1] values)."""
     lengths = np.diff(bounds)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = (original - reconstructed) ** 2
+    sq = (original - reconstructed) ** 2
     means = np.empty(lengths.size)
     for lo, hi in _runs(lengths):
         rows = sq[bounds[lo] : bounds[hi]].reshape(hi - lo, lengths[lo])
         means[lo:hi] = np.add.reduce(rows, axis=1) / lengths[lo]  # np.mean's own sum and division
-    out = np.sqrt(means)
-    for i in np.flatnonzero(~np.isfinite(out) & (lengths > 0)):
-        a, b = bounds[i], bounds[i + 1]
-        out[i] = _overflow_safe(lambda o, r: np.sqrt(np.add.reduce((o - r) ** 2) / o.size),
-                                original[a:b], reconstructed[a:b])
-    return out.tolist()
+    return np.sqrt(means).tolist()
 
 
 def _runs(lengths: np.ndarray, points: int | None = None):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -392,6 +393,25 @@ def _ragged_ucr_dir(root):
     return root
 
 
+def _extreme_ucr_dir(root):
+    """One UCR dataset of raw rows at the float64 limit: alternating and ramping
+    between -max and +max, a step across the whole range, a walk scaled to fill
+    it, and a constant row."""
+    big = np.finfo(np.float64).max
+    walk = np.cumsum(np.random.default_rng(7).normal(size=48))
+    rows = [
+        np.resize([big, -big], 48),
+        np.linspace(1.0, -1.0, 48) * big,
+        np.where(np.arange(48) < 24, -big, big),
+        ((walk - walk.min()) / (walk.max() - walk.min()) * 2.0 - 1.0) * big,
+        np.full(48, 3.25),
+    ]
+    root.mkdir(parents=True)
+    lines = ["\t".join(["1", *map(repr, y.tolist())]) for y in rows]
+    (root / "Extreme_TRAIN.tsv").write_text("\n".join(lines) + "\n")
+    return root
+
+
 class TestBlockedScoring:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -484,20 +504,30 @@ class TestBlockedScoring:
                 paths = emit_report(run_benchmark(bundles, config), tmp_path / str(block))
             files[block] = {p.name: p.read_bytes() for p in paths}
         assert files[64] == files[metrics.BLOCK_POINTS]
-        # the same through the CLI, on synthetic families and on a ragged UCR directory
+        # the same through the CLI, on synthetic families and on ragged and extreme UCR files
         experiment = "1" if mode is ExperimentMode.FIXED_THRESHOLD else "2"
+        extreme = str(_extreme_ucr_dir(tmp_path / "extreme"))
         runs = {
             "synthetic": ["--synthetic", "walk=6,sine=6,triangle=6", "--length", "400",
                           "--seed", "5"],
             "ucr": ["--data-dir", str(_ragged_ucr_dir(tmp_path / "ucr"))],
+            # raw values at the float64 limit reach the scorer normalized, so every score
+            # is finite and no overflow warning is raised
+            **{f"extreme-{t}": ["--data-dir", extreme, "--threshold", t,
+                                "--tolerance-ratio", "inf"] for t in ("0", "1", "1e308")},
         }
         for label, argv in runs.items():
             files = {}
             for block in (64, metrics.BLOCK_POINTS):
                 out = tmp_path / label / str(block)
-                with mock.patch.object(metrics, "BLOCK_POINTS", block):
+                with mock.patch.object(metrics, "BLOCK_POINTS", block), \
+                        warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
                     assert main(["bench", "--experiment", experiment, *argv, "--out", str(out)]) == 0
+                assert not caught, label
                 files[block] = {p.name: p.read_bytes() for p in out.iterdir()}
+                datasets = json.loads(files[block]["report.json"])["datasets"]
+                assert all(math.isfinite(s["mean_rmse"]) for d in datasets for s in d["scores"])
             assert files[64] == files[metrics.BLOCK_POINTS], label
         assert not hasattr(bench, "BLOCK_POINTS")  # the block size lives in metrics only
 

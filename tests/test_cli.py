@@ -4,6 +4,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -445,6 +449,28 @@ class TestBenchCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_negative_seed_exits_1_naming_seed(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        assert main(["bench", "--seed", "-1", "--synthetic", "walk=2", "--length", "20",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_synthetic_corpus_too_large_exits_1(self, tmp_path):
+        # 10**20 signals: numpy refuses the corpus array before any signal is made; a child
+        # process with its address space capped, so that a regression fails instead of
+        # filling memory
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "rep"
+        run = subprocess.run([sys.executable, "-c", _HUGE_CORPUS, str(out)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1, run.stderr
+        points = 10**20 * 16
+        assert run.stderr == f"error: synthetic corpus of {points} points does not fit in memory\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "exc, line",
         [
@@ -463,6 +489,15 @@ class TestBenchCommand:
         assert main(["bench", "--synthetic", "walk=1", "--length", "100", "--out", str(out)]) == 1
         assert capsys.readouterr().err == line
         assert not out.exists()
+
+
+_HUGE_CORPUS = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+from lebesgue_interp.cli import main
+sys.exit(main(["bench", "--synthetic", "walk=100000000000000000000", "--length", "16",
+               "--out", sys.argv[1]]))
+"""
 
 
 _EXTREMES = ("1e308", "-1e308", "1.7976931348623157e308", "5e-324", "-5e-324", "0", "-0.0")
