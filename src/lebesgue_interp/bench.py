@@ -149,8 +149,6 @@ def _parse_rows(path: Path) -> list[np.ndarray]:
     from the first value. A line ends at \\n, \\r\\n or \\r, and quotes are
     not special. Trailing NaN fields, the archive's padding of short rows,
     are trimmed; any other NaN or inf is an error."""
-    if not path.exists():
-        raise FileNotFoundError(f"dataset file not found: {path}")
     rows: list[np.ndarray] = []
     with path.open("r") as fh:
         for r, line in enumerate(fh):
@@ -247,10 +245,8 @@ def _gen_triangle(rng: np.random.Generator, length: int) -> np.ndarray:
     while pos < length - 1:
         seg = int(rng.integers(50, 91))
         swing = rng.uniform(0.3, 0.6)
-        target = level + direction * swing
-        if target > 1.0 or target < 0.0:
+        if not 0.0 <= level + direction * swing <= 1.0:
             direction = -direction
-            target = level + direction * swing
         end = min(pos + seg, length - 1)
         y[pos : end + 1] = np.linspace(level, level + direction * swing * (end - pos) / seg, end - pos + 1)
         level = y[end]
@@ -407,40 +403,28 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _json_text(obj, indent: int = 0) -> str:
+def _json_text(obj, pad: str = "") -> str:
     """JSON with floats at 17 significant digits and insertion-order fields.
 
     The stdlib encoder prints floats via repr (shortest round trip); this
     fixed-width form keeps the serialized bytes independent of repr details
-    while still parsing back to the identical float64.
+    while still parsing back to the identical float64. A numpy scalar is
+    written as its Python value.
     """
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not np.isfinite(x):
-            raise InvalidInputError(f"cannot serialize non-finite number {x}")
-        return format(x, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = ",\n".join(f"{pad}  {_json_text(v, indent + 1)}" for v in obj)
-        return "[\n" + body + "\n" + pad + "]"
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise InvalidInputError(f"cannot serialize non-finite number {obj}")
+        return _fmt(obj)
+    if not (isinstance(obj, (dict, list, tuple)) and obj):
+        return json.dumps(obj)  # None, bool, int, str, and empty containers
+    inner, (start, end) = pad + "  ", "{}" if isinstance(obj, dict) else "[]"
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_json_text(v, indent + 1)}" for k, v in obj.items()
-        )
-        return "{\n" + body + "\n" + pad + "}"
-    raise InvalidInputError(f"cannot serialize {type(obj).__name__} to JSON")
+        items = [f"{json.dumps(str(k))}: {_json_text(v, inner)}" for k, v in obj.items()]
+    else:
+        items = [_json_text(v, inner) for v in obj]
+    return f"{start}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{end}"
 
 
 def emit_report(report: MethodReport, out_dir: str | os.PathLike) -> list[Path]:

@@ -32,21 +32,8 @@ from .verify import run_all_checks
 __all__ = ["main", "entrypoint"]
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems instead of exiting with code 2."""
-
-    def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}\n{self.format_usage()}")
-
-
 def _read_signal(path: Path) -> TimeSeries:
     """One value per line (a trailing comma-separated row also works)."""
-    if not path.exists():
-        raise FileNotFoundError(f"signal file not found: {path}")
     fields, lines = [], []  # every value field; each line's (row, end) in fields
     with path.open() as fh:
         for r, line in enumerate(fh):
@@ -61,12 +48,12 @@ def _read_signal(path: Path) -> TimeSeries:
 
 
 def _write_points(path: Path, indices, values: np.ndarray, comment: str = "") -> None:
-    """``index,value`` rows, each value as its repr, after ``comment``."""
+    """``index,value`` rows after ``comment``; csv writes each float as its repr."""
     with path.open("w", newline="") as fh:
         fh.write(comment)
         w = csv.writer(fh)
         w.writerow(["index", "value"])
-        w.writerows(zip(indices, map(repr, values.tolist())))
+        w.writerows(zip(indices, values.tolist()))
 
 
 def _parse_field(path: Path, what: str, parse, text: str, row: int):
@@ -85,8 +72,6 @@ def int64(text: str) -> int:
 
 
 def _read_sampled(path: Path, length: int | None, threshold: float | None) -> SampledSeries:
-    if not path.exists():
-        raise FileNotFoundError(f"sampled file not found: {path}")
     meta: dict[str, tuple[str, int]] = {}
     idx: list[int] = []
     vals, lines = [], []  # every value field; each line's (row, end) in vals
@@ -231,8 +216,8 @@ def _reconstruction_args(args) -> dict[str, object]:
             "subsequent_min_distance": args.min_dist, "subsequent_max_distance": args.max_dist}
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="lebesgue-interp", description=__doc__)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="lebesgue-interp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="downsample one signal file to a sampled-points CSV")
@@ -282,11 +267,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # argparse --help
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 after printing a usage error
+        return 1 if exc.code else 0
     except ValueError as exc:  # every error of .errors is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

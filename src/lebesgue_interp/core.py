@@ -148,10 +148,8 @@ class DatasetBundle:
         arrays = [ts.values for ts in signals]
         if not arrays:
             raise InvalidInputError(f"dataset {name!r} is empty")
-        self.name, self.offsets = name, np.cumsum([0, *map(len, arrays)])
-        self.values = np.concatenate(arrays)
-        self.values.setflags(write=False)
-        self.offsets.setflags(write=False)
+        flat = self._flat(name, np.concatenate(arrays), np.cumsum([0, *map(len, arrays)]))
+        vars(self).update(vars(flat))
 
     @classmethod
     def _flat(cls, name: str, values: np.ndarray, offsets: np.ndarray) -> DatasetBundle:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -89,10 +90,14 @@ class TestLoadUcrDataset:
         np.testing.assert_array_equal(bundle.signals[0].values, [0.0, 0.1, 0.2, 0.3])
         np.testing.assert_array_equal(bundle.signals[2].values, [0.5, 0.5, 0.5, 0.5])
 
-    def test_missing_file_names_path(self, tmp_path):
+    def test_missing_file_names_path(self, tsv_pair, tmp_path):
+        # open() names the path; a missing test file fails as a missing train file does
         missing = tmp_path / "nope_TRAIN.tsv"
-        with pytest.raises(FileNotFoundError, match="nope_TRAIN.tsv"):
+        with pytest.raises(FileNotFoundError) as err:
             load_ucr_dataset(missing)
+        assert str(err.value) == f"[Errno 2] No such file or directory: '{missing}'"
+        with pytest.raises(FileNotFoundError, match="nope_TEST.tsv"):
+            load_ucr_dataset(tsv_pair[0], tmp_path / "nope_TEST.tsv")
 
     def test_unparsable_number_reports_position(self, tmp_path):
         bad = tmp_path / "Bad_TRAIN.tsv"
@@ -574,6 +579,27 @@ class TestEmitReport:
         report = MethodReport(datasets=(), summary=())
         with pytest.raises(InvalidInputError):
             emit_report(report, tmp_path)
+
+    @pytest.mark.parametrize("where", ["config", "dataset"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_rejected_before_any_file(self, tmp_path, where, bad):
+        report = self._report()
+        if where == "config":
+            report = dataclasses.replace(report, config={"threshold": bad})
+        else:
+            d = dataclasses.replace(report.datasets[0], abruptness=bad)
+            report = dataclasses.replace(report, datasets=(d,))
+        with pytest.raises(InvalidInputError, match=f"cannot serialize non-finite number {bad}"):
+            emit_report(report, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_numpy_scalars_encode_as_python_values(self, tmp_path):
+        config = {"count": np.int64(3), "ratio": np.float32(0.1), "flag": np.bool_(True)}
+        emit_report(dataclasses.replace(self._report(), config=config), tmp_path)
+        text = (tmp_path / "report.json").read_text()
+        ratio = float(np.float32(0.1))
+        assert f'"count": 3,\n    "ratio": {ratio:.17g},\n    "flag": true\n' in text
+        assert json.loads(text)["config"] == {"count": 3, "ratio": ratio, "flag": True}
 
     def test_seventeen_digit_serialization(self, tmp_path):
         report = self._report()

@@ -39,6 +39,10 @@ def signal_file(tmp_path):
     return path, walk
 
 
+def missing_file_message(path):
+    return f"[Errno 2] No such file or directory: '{path}'"
+
+
 def read_value_column(path):
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
@@ -63,10 +67,12 @@ class TestSampleCommand:
                      "--regime", "lebesgue", "--threshold", "-1"])
         assert code == 1
 
-    def test_missing_input_exits_2(self, tmp_path):
-        code = main(["sample", "--input", str(tmp_path / "absent.txt"),
-                     "--output", str(tmp_path / "o.csv")])
+    def test_missing_input_exits_2(self, tmp_path, capsys):
+        absent = tmp_path / "absent.txt"
+        code = main(["sample", "--input", str(absent), "--output", str(tmp_path / "o.csv")])
         assert code == 2
+        assert capsys.readouterr().err == f"I/O error: {missing_file_message(absent)}\n"
+        assert not (tmp_path / "o.csv").exists()
 
     def test_nan_in_signal_names_file_and_row(self, tmp_path, capsys):
         path = tmp_path / "gappy.txt"
@@ -115,6 +121,14 @@ class TestReconstructCommand:
                      "--method", "zeli"]) == 0
         got = read_value_column(recon)
         np.testing.assert_allclose(got, [0.0, 0.014, 0.028, 0.042, 0.056], atol=1e-15)
+
+    def test_missing_input_exits_2(self, tmp_path, capsys):
+        absent, recon = tmp_path / "absent.csv", tmp_path / "r.csv"
+        code = main(["reconstruct", "--input", str(absent), "--output", str(recon),
+                     "--method", "zoh"])
+        assert code == 2
+        assert capsys.readouterr().err == f"I/O error: {missing_file_message(absent)}\n"
+        assert not recon.exists()
 
     def test_unknown_method_exits_1(self, tmp_path):
         sampled = tmp_path / "s.csv"
@@ -243,6 +257,20 @@ class TestBenchCommand:
         payload = json.loads((out / "report.json").read_text())
         assert payload["config"]["mode"] == "fixed-threshold"
         assert {d["dataset"] for d in payload["datasets"]} == {"step", "sine"}
+
+    # sine and ramp are left out: np.sin and x**p may differ in the last bits between machines
+    @pytest.mark.parametrize("name, argv", [
+        ("fixed", ["--experiment", "1", "--synthetic", "step=3,walk=3,triangle=3",
+                   "--length", "120", "--seed", "2"]),
+        ("budget", ["--experiment", "2", "--synthetic", "walk=4", "--length", "200",
+                    "--seed", "3", "--tolerance-ratio", "inf", "--max-dist", "40"]),
+    ], ids=["fixed", "budget"])
+    def test_reports_equal_the_golden_copies(self, tmp_path, name, argv):
+        out, golden = tmp_path / name, Path(__file__).parent / "golden" / name
+        assert main(["bench", *argv, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in golden.iterdir())
+        for path in golden.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_budget_experiment(self, tmp_path):
         out = tmp_path / "rep2"
@@ -637,6 +665,18 @@ class TestVerifyAndHelp:
                                                "--method", "zoh"])):
             flags = (args.tolerance_ratio, args.prev_dist, args.min_dist, args.max_dist)
             assert dict(zip(params, flags)) == params
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bench", "--experiment", "3"], "argument --experiment: invalid choice: "),
+        (["sample", "--input", "signal.txt"], "the following arguments are required: --output"),
+    ], ids=["bad-choice", "missing-option"])
+    def test_usage_error_exits_1_after_usage(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)  # where bench would write bench_out/
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"usage: lebesgue-interp {argv[0]} ")
+        assert err[-1].startswith(f"lebesgue-interp {argv[0]}: error: {message}")
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["sample", "--frobnicate"]) == 1
