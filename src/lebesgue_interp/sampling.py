@@ -8,8 +8,10 @@ spreads a fixed count of points evenly over the index range.
 from __future__ import annotations
 
 import math
+import threading
 from array import array
 from dataclasses import dataclass
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -24,7 +26,8 @@ __all__ = [
 ]
 
 # Budget tuning reads its candidate grid in value buckets of at most this many
-# pairs, the only part of the grid held in memory at once.
+# pairs. The grid pass holds two such buckets, one being sorted while the next
+# is gathered; a probe holds one. No other part of the grid is ever in memory.
 _BUCKET_PAIRS = 2**18
 
 
@@ -134,16 +137,19 @@ class _DifferenceGrid:
     difference ``u[j] - u[i]`` of a signal's pair i < j is non-decreasing in
     j, so the pairs whose difference lies in a value interval (a, b] form one
     contiguous j-range per i. One pass cuts (0, largest difference] into
-    buckets of at most ``_BUCKET_PAIRS`` pairs (or of one value), sorts each
-    in turn and keeps only its largest value and the running count of
-    distinct values. A rank then rebuilds the one bucket that holds it, so
-    memory is O(n + _BUCKET_PAIRS + N / _BUCKET_PAIRS) for n values and N
-    pairs, against O(N) for the whole grid.
+    buckets of at most ``_BUCKET_PAIRS`` pairs (or of one value) and keeps
+    only each bucket's largest value and the running count of distinct
+    values. The pass is a two-stage pipeline over two bucket buffers,
+    allocated once: a helper thread sorts bucket k in one buffer while this
+    thread finds the next edge and gathers bucket k + 1 into the other, since
+    numpy's sort runs without the GIL and the gather holds it. A rank then
+    rebuilds the one bucket that holds it, on this thread, so memory is
+    O(n + _BUCKET_PAIRS + N / _BUCKET_PAIRS) for n values and N pairs,
+    against O(N) for the whole grid.
     """
 
     def __init__(self, bundle: DatasetBundle):
         parts = [np.unique(v) for v in np.split(bundle.values, bundle.offsets[1:-1])]
-        self._last: np.ndarray | None = None
         spans = [float(p[-1]) - float(p[0]) for p in parts]  # Python floats overflow quietly
         if math.isinf(max(spans)):
             raise InvalidInputError(f"dataset {bundle.name!r}: the values of signal "
@@ -156,26 +162,35 @@ class _DifferenceGrid:
         self._end = starts + np.repeat(sizes, sizes)
         # tops[k] is the largest value of bucket k and ranks[k] its rank; 0.0 is rank 0
         tops, ranks = [0.0], [0]
-        a, lo = 0.0, self._first
-        todo = [max(spans)]  # upper edges; the next on top
-        while todo:
-            b = todo[-1]
-            hi = self._ends(b)
-            count = int(np.sum(hi - lo))
-            if count > _BUCKET_PAIRS:
-                cuts = self._cuts(lo, hi, count, b)
-                below = float(np.nextafter(b, -np.inf))
-                if cuts or below > a:
-                    todo.extend(reversed(cuts or [below]))
-                    continue
-                tops.append(b)  # too many pairs, but all of them equal b
-                ranks.append(ranks[-1] + 1)
-            elif count:
-                top, distinct = self._bucket(lo, hi)
-                tops.append(top)
-                ranks.append(ranks[-1] + distinct)
-            todo.pop()
-            a, lo = b, hi
+        pending = None  # the bucket on the helper thread, sorted once ``done`` answers
+
+        def settle():
+            if pending is not None:
+                if (err := done.get()) is not None:
+                    raise err
+                tops.append(float(pending[-1]))
+                ranks.append(ranks[-1] + int(np.count_nonzero(pending[1:] != pending[:-1])) + 1)
+
+        pairs = int(np.sum(self._end - self._first))
+        bufs = [np.empty(min(_BUCKET_PAIRS, pairs)) for _ in range(2)]
+        jobs, done = SimpleQueue(), SimpleQueue()
+        helper = threading.Thread(target=_sort_each, args=(jobs, done))
+        helper.start()
+        try:
+            for lo, hi, count, b in self._pieces(max(spans)):
+                d = self._gather(lo, hi, bufs[0][:count]) if count <= _BUCKET_PAIRS else None
+                settle()
+                if d is None:  # too many pairs, but all of them equal b
+                    tops.append(b)
+                    ranks.append(ranks[-1] + 1)
+                else:
+                    jobs.put(d)
+                    bufs.reverse()
+                pending = d
+            settle()
+        finally:
+            jobs.put(None)
+            helper.join()
         self._tops = np.array(tops)
         self._ranks = np.array(ranks)
         self._cached: tuple[int, np.ndarray] | None = None
@@ -190,10 +205,30 @@ class _DifferenceGrid:
         if self._cached is None or self._cached[0] != k:
             a, b = float(self._tops[k - 1]), float(self._tops[k])
             self._cached = None  # free the old bucket before building the new one
-            self._bucket(self._ends(a), self._ends(b))
-            d = self._last
+            d = self._bucket(self._ends(a), self._ends(b))
             self._cached = k, d[np.append(True, d[1:] != d[:-1])]
         return float(self._cached[1][rank - self._ranks[k - 1] - 1])
+
+    def _pieces(self, top: float):
+        """Cut (0, top] into pieces of at most ``_BUCKET_PAIRS`` pairs, or of
+        one value, in ascending order; yield each non-empty one as the pairs
+        i, [lo[i], hi[i]), their count and the piece's upper edge b."""
+        a, lo = 0.0, self._first
+        todo = [top]  # upper edges; the next on top
+        while todo:
+            b = todo[-1]
+            hi = self._ends(b)
+            count = int(np.sum(hi - lo))
+            if count > _BUCKET_PAIRS:
+                cuts = self._cuts(lo, hi, count, b)
+                below = float(np.nextafter(b, -np.inf))
+                if cuts or below > a:
+                    todo.extend(reversed(cuts or [below]))
+                    continue
+            if count:
+                yield lo, hi, count, b
+            todo.pop()
+            a, lo = b, hi
 
     def _ends(self, b: float) -> np.ndarray:
         """For each i, the first j of its signal with ``u[j] - u[i] > b``,
@@ -218,23 +253,30 @@ class _DifferenceGrid:
         at[bad] = lo
         return at
 
-    def _bucket(self, lo: np.ndarray, hi: np.ndarray) -> tuple[float, int]:
-        """Sort the differences of the pairs i, [lo[i], hi[i]) into ``_last``;
-        return the largest and how many are distinct. At most two pair-sized
-        arrays live at once, and the last bucket is freed only once this one's
-        gather index exists, so malloc reuses its pages instead of returning
-        them to the system and faulting them back in for the next bucket."""
+    def _gather(self, lo: np.ndarray, hi: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the differences of the pairs i, [lo[i], hi[i]) into ``out``
+        in pair order and return it. It runs over four spans of rows of about
+        a quarter of the pairs each, so its temporaries hold about a quarter
+        of ``out``."""
         k = hi - lo
         total = np.cumsum(k)
-        idx = np.repeat(lo - total + k, k)
-        self._last = None
-        idx += np.arange(idx.size)
-        d = self._u[idx]
-        del idx
-        d -= np.repeat(self._u, k)
+        first = total - k  # each row's first position in out
+        rows = np.searchsorted(total, np.arange(1, 4) * (out.size // 4), "right")
+        for r0, r1 in zip([0, *rows.tolist()], [*rows.tolist(), k.size]):
+            if r0 < r1:
+                p0, p1 = int(first[r0]), int(total[r1 - 1])
+                idx = np.repeat(lo[r0:r1] - first[r0:r1], k[r0:r1])
+                idx += np.arange(p0, p1)
+                np.take(self._u, idx, out=out[p0:p1], mode="clip")  # "raise" would copy out
+                del idx
+                out[p0:p1] -= np.repeat(self._u[r0:r1], k[r0:r1])
+        return out
+
+    def _bucket(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The sorted differences of the pairs i, [lo[i], hi[i])."""
+        d = self._gather(lo, hi, np.empty(int(np.sum(hi - lo))))
         d.sort()
-        self._last = d
-        return float(d[-1]), int(np.count_nonzero(d[1:] != d[:-1])) + 1
+        return d
 
     def _cuts(self, lo: np.ndarray, hi: np.ndarray, count: int, b: float) -> list[float]:
         """Values that split the pairs i, [lo[i], hi[i]) into pieces of about
@@ -250,6 +292,20 @@ class _DifferenceGrid:
         sample = np.sort(self._u[lo[i] + at - total[i] + k[i]] - self._u[i])
         cuts = np.unique(sample[np.arange(1, pieces) * size // pieces])
         return cuts[cuts < b].tolist()
+
+
+def _sort_each(jobs: SimpleQueue, done: SimpleQueue) -> None:
+    """The helper thread of a grid pass: sort each array ``jobs`` hands over
+    in place until None comes, and answer each on ``done`` with None, or with
+    the exception that ended the thread, whatever its type, for the pass to
+    raise: the pass waits on ``done`` and must never wait on a thread that is
+    gone."""
+    try:
+        while (d := jobs.get()) is not None:
+            d.sort()
+            done.put(None)
+    except BaseException as err:
+        done.put(err)
 
 
 def tune_threshold(bundle: DatasetBundle, budget: SampleBudget) -> tuple[float, float]:

@@ -683,3 +683,15 @@ class TestVerifyAndHelp:
 
     def test_unknown_subcommand_exits_1(self):
         assert main(["dance"]) == 1
+
+    def test_import_loads_neither_logging_nor_concurrent_futures(self):
+        # a fresh interpreter, so that modules other tests loaded do not count; importing
+        # concurrent.futures would pull in logging and add milliseconds to every command's start
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = ("import sys, lebesgue_interp.bench, lebesgue_interp.cli; "
+                "print(sorted(m for m in ('logging', 'concurrent.futures') if m in sys.modules))")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                                 filter(None, [src, os.environ.get("PYTHONPATH")]))))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split("\n")[0] == "[]"

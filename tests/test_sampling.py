@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 import tracemalloc
 from contextlib import contextmanager
 
@@ -454,8 +456,8 @@ class TestBoundedTuning:
         assert peak(4000) <= 1.5 * peak(1000)
 
     def test_peak_memory_of_walks_at_default_buckets(self):
-        # each bucket is built with at most two pair-sized arrays alive, and the
-        # previous bucket is freed before the next one reaches its peak
+        # the pass holds two bucket buffers, allocated once, plus gather
+        # temporaries of about a quarter of a bucket
         bundle = generate_synthetic_corpus(4, {"walk": 20}, 1000)
         tracemalloc.start()
         try:
@@ -475,3 +477,141 @@ class TestBoundedTuning:
             mp.setattr(_DifferenceGrid, "_ends", lambda grid, b: calls.append(b) or ends(grid, b))
             _DifferenceGrid(bundle)
         assert len(calls) <= 60
+
+    def test_peak_memory_is_deterministic(self):
+        # the helper thread only sorts in place and every buffer is allocated once per pass,
+        # so the peak does not depend on how the two threads interleave; the first call in a
+        # process also loads modules numpy imports lazily, so it runs untraced
+        bundle = generate_synthetic_corpus(3, {"walk": 2}, 1000)
+        tune_threshold(bundle, SampleBudget(0.15))
+
+        def peak():
+            tracemalloc.start()
+            try:
+                tune_threshold(bundle, SampleBudget(0.15))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        first, second = peak(), peak()
+        assert abs(first - second) <= 0.01 * first
+
+
+# Fixed bundles for the pipelined grid pass. In the lattice, the difference 0.5
+# is rare and 1.0 common, so at every patched bucket size below a bucket of
+# one value (more pairs than a bucket, all equal) falls between two sorted ones.
+LATTICE = DatasetBundle("lattice", (TimeSeries([0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),))
+ULPS = DatasetBundle("ulps", tuple(
+    TimeSeries((base + np.spacing(base) * np.array(ks, dtype=float)).tolist())
+    for base, ks in ((1.0, [-6, -5, -3, 0, 1, 2, 3, 6]), (-0.3, [4, -2, 0, 1, 5, -6, 2]))
+))
+
+
+def run_within(call, seconds=30.0):
+    """``call()`` on a daemon thread, failing the test instead of hanging when it
+    has not returned after ``seconds``; its result, or the exception it raised."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = call()
+        except BaseException as err:
+            out["error"] = err
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert not runner.is_alive(), f"no answer within {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
+
+
+class _SortFails(np.ndarray):
+    def sort(self, *args, **kwargs):
+        raise RuntimeError("sort failed")
+
+
+class TestGridPipeline:
+    """The grid pass sorts each bucket on a helper thread while this thread
+    gathers the next: the thread ends with the pass, whatever ends it, and
+    the buckets' summaries do not depend on how the threads interleave."""
+
+    @pytest.mark.parametrize("bundle", [LATTICE, ULPS], ids=["lattice", "ulps"])
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_grid_read_by_rank_under_fast_switching(self, bundle, size):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with bucket_pairs(size):
+                grid = _DifferenceGrid(bundle)
+                got = [grid[r] for r in range(len(grid))]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == threshold_candidates(bundle).tolist()
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    def test_lattice_has_a_one_value_bucket_between_sorted_ones(self, size):
+        kinds = []
+        pieces = _DifferenceGrid._pieces
+
+        def recorded(grid, top):
+            for piece in pieces(grid, top):
+                kinds.append("one" if piece[2] > size else "sorted")
+                yield piece
+
+        with bucket_pairs(size), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_DifferenceGrid, "_pieces", recorded)
+            _DifferenceGrid(LATTICE)
+        assert ["sorted", "one", "sorted"] in [kinds[i:i + 3] for i in range(len(kinds))]
+
+    def test_helper_ends_with_a_tune(self):
+        before = threading.active_count()
+        bundle = generate_synthetic_corpus(5, {"walk": 2}, 60)
+        with bucket_pairs(40):
+            got = run_within(lambda: tune_threshold(bundle, SampleBudget(0.3)))
+        assert got == bisect_candidate_grid(bundle, 0.3)
+        assert threading.active_count() == before
+
+    def test_helper_ends_with_an_infeasible_budget(self):
+        before = threading.active_count()
+        bundle = generate_synthetic_corpus(5, {"walk": 2}, 60)
+        with bucket_pairs(40), pytest.raises(InfeasibleBudgetError):
+            run_within(lambda: tune_threshold(bundle, SampleBudget(0.01)))
+        assert threading.active_count() == before
+
+    def test_error_in_the_pass_reaches_the_caller(self):
+        before = threading.active_count()
+        bundle = generate_synthetic_corpus(5, {"walk": 2}, 60)
+        calls = []
+        ends = _DifferenceGrid._ends
+
+        def third_fails(grid, b):
+            calls.append(b)
+            if len(calls) == 3:
+                raise RuntimeError("edge failed")
+            return ends(grid, b)
+
+        with bucket_pairs(40), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_DifferenceGrid, "_ends", third_fails)
+            with pytest.raises(RuntimeError, match="edge failed"):
+                run_within(lambda: tune_threshold(bundle, SampleBudget(0.3)))
+        assert threading.active_count() == before
+
+    def test_error_in_the_helpers_sort_reaches_the_caller(self):
+        # the second bucket's buffer comes back as an array whose sort raises, on the helper
+        before = threading.active_count()
+        bundle = generate_synthetic_corpus(5, {"walk": 2}, 60)
+        calls = []
+        gather = _DifferenceGrid._gather
+
+        def second_fails(grid, lo, hi, out):
+            calls.append(lo)
+            d = gather(grid, lo, hi, out)
+            return d.view(_SortFails) if len(calls) == 2 else d
+
+        with bucket_pairs(40), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_DifferenceGrid, "_gather", second_fails)
+            with pytest.raises(RuntimeError, match="sort failed"):
+                run_within(lambda: tune_threshold(bundle, SampleBudget(0.3)))
+        assert threading.active_count() == before
