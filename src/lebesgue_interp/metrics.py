@@ -132,7 +132,12 @@ class MethodScore:
 
     @cached_property
     def median_rmse(self) -> float:
-        return float(np.median(self.per_signal_rmse))
+        # the middle value, or the mean of the two, as np.median takes it (which would load
+        # numpy.ma); a NaN, which sorted() could put anywhere, makes it NaN there too
+        s, k = sorted(self.per_signal_rmse), len(self.per_signal_rmse) // 2
+        if any(map(math.isnan, s)):
+            return math.nan
+        return float(s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -85,11 +85,18 @@ def _periodic(offsets: np.ndarray, budget: SampleBudget) -> np.ndarray:
     """``riemann_sample`` of every signal [offsets[i], offsets[i + 1]): the kept
     positions, the grid of each length built once."""
     lengths, grids = np.diff(offsets), {}
-    for n in np.unique(lengths).tolist():
+    for n in set(lengths.tolist()):
         k = max(1, math.ceil(budget.target_fraction * n))
         raw = np.rint(np.arange(k, dtype=np.float64) * (n - 1) / max(1, k - 1)).astype(np.int64)
-        grids[n] = np.unique(raw)
+        grids[n] = _distinct(raw)
     return np.concatenate([grids[n] + a for a, n in zip(offsets[:-1].tolist(), lengths.tolist())])
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-empty sorted array, in order: each one
+    that differs from its left neighbour. ``np.unique`` gives the same values
+    but loads ``numpy.ma`` on its first call in a process."""
+    return a[np.append(True, a[1:] != a[:-1])]
 
 
 def threshold_candidates(bundle: DatasetBundle) -> np.ndarray:
@@ -133,13 +140,17 @@ def _kept_fraction(signals: list[list[float]], threshold: float) -> float:
 class _DifferenceGrid:
     """``threshold_candidates(bundle)`` read by rank, never built whole.
 
-    With each signal's sorted unique values in one array ``u``, the computed
+    With each signal's distinct values in one array ``u`` (sorted, then each
+    kept where it differs from its left neighbour; ``threshold_candidates``
+    keeps ``np.unique`` as the independent reference), the computed
     difference ``u[j] - u[i]`` of a signal's pair i < j is non-decreasing in
     j, so the pairs whose difference lies in a value interval (a, b] form one
     contiguous j-range per i. One pass cuts (0, largest difference] into
-    buckets of at most ``_BUCKET_PAIRS`` pairs (or of one value) and keeps
-    only each bucket's largest value and the running count of distinct
-    values. The pass is a two-stage pipeline over two bucket buffers,
+    buckets of at most ``_BUCKET_PAIRS`` pairs. A piece is left with more
+    pairs than that only when all of them equal its upper edge b, and it is
+    the one-value bucket ``[b]``. Every bucket is sorted and summarised the
+    same way: the pass keeps only its largest value and the running count of
+    distinct values. The pass is a two-stage pipeline over two bucket buffers,
     allocated once: a helper thread sorts bucket k in one buffer while this
     thread finds the next edge and gathers bucket k + 1 into the other, since
     numpy's sort runs without the GIL and the gather holds it. A rank then
@@ -149,7 +160,7 @@ class _DifferenceGrid:
     """
 
     def __init__(self, bundle: DatasetBundle):
-        parts = [np.unique(v) for v in np.split(bundle.values, bundle.offsets[1:-1])]
+        parts = [_distinct(np.sort(v)) for v in np.split(bundle.values, bundle.offsets[1:-1])]
         spans = [float(p[-1]) - float(p[0]) for p in parts]  # Python floats overflow quietly
         if math.isinf(max(spans)):
             raise InvalidInputError(f"dataset {bundle.name!r}: the values of signal "
@@ -178,14 +189,13 @@ class _DifferenceGrid:
         helper.start()
         try:
             for lo, hi, count, b in self._pieces(max(spans)):
-                d = self._gather(lo, hi, bufs[0][:count]) if count <= _BUCKET_PAIRS else None
+                if count <= _BUCKET_PAIRS:
+                    d = self._gather(lo, hi, bufs[0][:count])
+                else:  # too many pairs, but all of them equal b
+                    d = np.array([b])
                 settle()
-                if d is None:  # too many pairs, but all of them equal b
-                    tops.append(b)
-                    ranks.append(ranks[-1] + 1)
-                else:
-                    jobs.put(d)
-                    bufs.reverse()
+                jobs.put(d)
+                bufs.reverse()
                 pending = d
             settle()
         finally:
@@ -205,8 +215,10 @@ class _DifferenceGrid:
         if self._cached is None or self._cached[0] != k:
             a, b = float(self._tops[k - 1]), float(self._tops[k])
             self._cached = None  # free the old bucket before building the new one
-            d = self._bucket(self._ends(a), self._ends(b))
-            self._cached = k, d[np.append(True, d[1:] != d[:-1])]
+            lo, hi = self._ends(a), self._ends(b)
+            d = self._gather(lo, hi, np.empty(int(np.sum(hi - lo))))
+            d.sort()
+            self._cached = k, _distinct(d)
         return float(self._cached[1][rank - self._ranks[k - 1] - 1])
 
     def _pieces(self, top: float):
@@ -272,12 +284,6 @@ class _DifferenceGrid:
                 out[p0:p1] -= np.repeat(self._u[r0:r1], k[r0:r1])
         return out
 
-    def _bucket(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """The sorted differences of the pairs i, [lo[i], hi[i])."""
-        d = self._gather(lo, hi, np.empty(int(np.sum(hi - lo))))
-        d.sort()
-        return d
-
     def _cuts(self, lo: np.ndarray, hi: np.ndarray, count: int, b: float) -> list[float]:
         """Values that split the pairs i, [lo[i], hi[i]) into pieces of about
         three quarters of a bucket each, read off an evenly spaced sample of
@@ -290,7 +296,7 @@ class _DifferenceGrid:
         at = (np.arange(size) * (count / size)).astype(np.int64)
         i = np.searchsorted(total, at, "right")
         sample = np.sort(self._u[lo[i] + at - total[i] + k[i]] - self._u[i])
-        cuts = np.unique(sample[np.arange(1, pieces) * size // pieces])
+        cuts = _distinct(sample[np.arange(1, pieces) * size // pieces])
         return cuts[cuts < b].tolist()
 
 

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from lebesgue_interp import lebesgue_sample
+from lebesgue_interp.sampling import threshold_candidates
 from lebesgue_interp.verify import chord_exits_band, trace_send_on_delta  # noqa: F401
 
 
@@ -51,12 +52,10 @@ def linear_pointwise(points, length):
 
 
 def nearest_pointwise(points, length):
-    """Closest knot by index distance, earlier knot on ties."""
-    out = []
-    for x in range(length):
-        best = min(points, key=lambda p: (abs(p[0] - x), p[0]))
-        out.append(best[1])
-    return out
+    """Closest knot by index distance, earlier knot on ties: every index's
+    distance to every knot, in ascending index order, and the first smallest."""
+    best = np.abs(np.arange(length)[:, None] - np.array([i for i, _ in points])).argmin(axis=1)
+    return [points[j][1] for j in best.tolist()]
 
 
 def augmented_knots_scalar(points, params, turns):
@@ -150,6 +149,14 @@ def pchip_loop(knots, length):
     return out
 
 
+def periodic_positions(n, fraction):
+    """The periodic sampler's positions in a signal of length n, from its
+    formula: round(j * (n - 1) / (k - 1)), half to even, for j < k =
+    max(1, ceil(fraction * n)), deduplicated ascending."""
+    k = max(1, math.ceil(fraction * n))
+    return sorted({round(j * (n - 1) / max(1, k - 1)) for j in range(k)})
+
+
 def normalize_scalar(values):
     """One signal rescaled to [0, 1] from its Python-float extrema: zeros when
     constant, and every term halved first when max - min overflows."""
@@ -170,6 +177,26 @@ def bundle_fraction(bundle, threshold):
     for ts in bundle.signals:
         total += lebesgue_sample(ts, threshold).fraction
     return total / len(bundle.signals)
+
+
+def bisect_candidate_grid(bundle, target):
+    """The tuning bisection over the whole grid ``threshold_candidates`` builds:
+    (threshold, fraction), or ("infeasible", least fraction)."""
+    cands = threshold_candidates(bundle)
+    lo, hi = 0, len(cands) - 1
+    hi_frac = bundle_fraction(bundle, float(cands[hi]))
+    if hi_frac > target:
+        above = float(np.nextafter(cands[hi], np.inf))
+        least = bundle_fraction(bundle, above)
+        return ("infeasible", least) if least > target else (above, least)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        mid_frac = bundle_fraction(bundle, float(cands[mid]))
+        if mid_frac <= target:
+            hi, hi_frac = mid, mid_frac
+        else:
+            lo = mid + 1
+    return float(cands[hi]), hi_frac
 
 
 def hermite_closed_form(x, y, m):
@@ -204,6 +231,35 @@ def rmse_per_slice(original, reconstructed, bounds):
     sq = (original - reconstructed) ** 2
     means = [np.add.reduce(sq[a:b]) / (b - a) for a, b in zip(bounds[:-1], bounds[1:])]
     return np.sqrt(means).tolist()
+
+
+# method -> (knot plan: the kept points when None, else augmented_knots_scalar with or
+# without turns; kernel). The linear method uses chord_loop too: linear_pointwise's
+# a * x + b agrees with the chord only to 1e-12.
+SCALAR_METHODS = {
+    "zoh": (None, zoh_pointwise),
+    "linear": (None, chord_loop),
+    "nearest": (None, nearest_pointwise),
+    "pchip": (None, pchip_loop),
+    "zeli": (False, chord_loop),
+    "zelic": (True, chord_loop),
+    "zechip": (False, pchip_loop),
+    "zechipc": (True, pchip_loop),
+}
+
+
+def score_scalar(signals, kept, params, method):
+    """Each signal's RMSE under ``method``, signal by signal: its kept
+    (index, value) points, planned into knots gap by gap, rebuilt by a
+    pointwise or loop kernel and scored by ``rmse_per_slice``."""
+    turns, kernel = SCALAR_METHODS[method]
+    rebuilt = [
+        np.asarray(kernel(p if turns is None else augmented_knots_scalar(p, params, turns), len(v)),
+                   dtype=np.float64)
+        for v, p in zip(signals, kept)
+    ]
+    bounds = np.cumsum([0, *map(len, signals)])
+    return rmse_per_slice(np.concatenate(signals), np.concatenate(rebuilt), bounds)
 
 
 def mean_abruptness_per_signal(signals):

@@ -39,10 +39,19 @@ from lebesgue_interp import (
     run_benchmark,
     run_experiment,
 )
-from lebesgue_interp import bench, metrics
+from lebesgue_interp import bench, metrics, sampling
 from lebesgue_interp.cli import main
 from conftest import PER_SIGNAL
-from oracles import rmse_plain, trace_send_on_delta, ucr_rows_csv
+from oracles import (
+    bisect_candidate_grid,
+    normalize_scalar,
+    periodic_positions,
+    points,
+    rmse_plain,
+    score_scalar,
+    trace_send_on_delta,
+    ucr_rows_csv,
+)
 
 _DIGITS = "0123456789"
 # numeric text as float() reads it: ASCII, underscored or in other scripts'
@@ -258,6 +267,13 @@ def test_bundle_offsets_are_read_only(ts, tsv_pair):
             bundle.offsets[1] = 7
 
 
+# lattice values, many of them repeated, in ragged lengths: one point, a constant, or any
+_lattice_signal = st.one_of(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=24),
+    st.tuples(st.integers(-4, 4), st.integers(1, 24)).map(lambda t: [t[0]] * t[1]),
+)
+
+
 class TestRunExperiment:
     def test_constant_signal_all_methods_tie(self, ts):
         bundle = DatasetBundle("flat", (ts([3.0] * 40),))
@@ -334,6 +350,44 @@ class TestRunExperiment:
         config = ExperimentConfig(mode=ExperimentMode.BUDGET, target_fraction=0.01)
         with pytest.raises(InfeasibleBudgetError):
             run_experiment(bundle, config)
+
+    @given(
+        signals=st.lists(_lattice_signal, min_size=1, max_size=5),
+        step=st.sampled_from([0.1, 0.25, 3.0]),
+        target=st.floats(0.05, 1.0),
+        size=st.sampled_from([1, 5, 40]),
+    )
+    # a lattice with a constant and a one-point signal, feasible at this budget: its grid
+    # pass at one pair per bucket meets 6 one-value buckets and 6 sorted ones
+    @example(signals=[[0, 1, 1, 2, 0, 2, 3, 3, -1, 4, 4, 0], [2] * 9, [5], [1, 0, 1, 0, 1, 3]],
+             step=0.1, target=0.5, size=1)
+    @settings(max_examples=100, deadline=None)
+    def test_budget_mode_equals_scalar_oracles(self, signals, step, target, size):
+        # the tune reads the grid in buckets of `size` pairs, so lattices with their many
+        # equal differences span many buckets, one-value ones among them
+        bundle = DatasetBundle("lattice", tuple(TimeSeries([k * step for k in v]) for v in signals))
+        normalized = [normalize_scalar(ts.values) for ts in bundle.signals]
+        want = bisect_candidate_grid(
+            DatasetBundle("n", tuple(TimeSeries(v) for v in normalized)), target)
+        config = ExperimentConfig(mode=ExperimentMode.BUDGET, target_fraction=target)
+        with mock.patch.object(sampling, "_BUCKET_PAIRS", size):
+            if want[0] == "infeasible":
+                with pytest.raises(InfeasibleBudgetError) as err:
+                    run_experiment(bundle, config)
+                assert err.value.min_achievable_fraction == want[1]
+                return
+            got = run_experiment(bundle, config)
+        assert (got.threshold, got.achieved_fraction) == want
+        kept = {
+            "L ": [trace_send_on_delta(v.tolist(), want[0]) for v in normalized],
+            "R ": [[(i, float(v[i])) for i in periodic_positions(v.size, target)]
+                   for v in normalized],
+        }
+        params = ReconstructionParams(want[0])
+        assert {s.method_name: s.per_signal_rmse for s in got.scores} == {
+            prefix + label: tuple(score_scalar(normalized, kept[prefix], params, m))
+            for prefix in kept for m, (label, _, _) in METHODS.items()
+        }
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -462,10 +516,13 @@ class TestBlockedScoring:
         with mock.patch.object(metrics, "BLOCK_POINTS", block):
             scores = bench._score_sampled(*_flat(signals, sampled), params, tuple(METHODS), "",
                                           not riemann)
+        values, kept = [ts.values for ts in signals], [points(s) for s in sampled]
         for m, score in zip(METHODS, scores):
             want = [rmse(ts.values, PER_SIGNAL[m](s, params)) for ts, s in zip(signals, sampled)]
             # bit for bit, sign bits included
             assert np.array(score.per_signal_rmse).tobytes() == np.array(want).tobytes(), m
+            oracle = score_scalar(values, kept, params, m)
+            assert np.array(score.per_signal_rmse).tobytes() == np.array(oracle).tobytes(), m
 
     def test_memory_does_not_grow_with_signal_count(self):
         def peak(count):

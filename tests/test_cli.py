@@ -695,3 +695,26 @@ class TestVerifyAndHelp:
                                  filter(None, [src, os.environ.get("PYTHONPATH")]))))
         assert run.returncode == 0, run.stderr
         assert run.stdout.split("\n")[0] == "[]"
+
+    def test_bench_runs_do_not_load_numpy_ma(self, tmp_path):
+        # np.unique and np.median load numpy.ma on their first call in a process, which costs
+        # a one-shot run about 1 MB and 10 ms; a fresh interpreter, as above
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        run = subprocess.run([sys.executable, "-c", _BENCH_BOTH_EXPERIMENTS, str(tmp_path)],
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                                 filter(None, [src, os.environ.get("PYTHONPATH")]))))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "numpy.ma loaded: False"
+
+
+_BENCH_BOTH_EXPERIMENTS = """
+import sys
+from lebesgue_interp import SampleBudget, generate_synthetic_corpus, tune_threshold
+from lebesgue_interp.cli import main
+for experiment in ("1", "2"):
+    assert main(["bench", "--experiment", experiment, "--synthetic", "walk=3,step=2,sine=2",
+                 "--length", "120", "--out", f"{sys.argv[1]}/{experiment}"]) == 0
+tune_threshold(generate_synthetic_corpus(3, {"walk": 2}, 200), SampleBudget(0.15))
+print("numpy.ma loaded:", "numpy.ma" in sys.modules)
+"""

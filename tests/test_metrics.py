@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -274,6 +275,14 @@ class TestMethodScore:
         s = MethodScore("m", tuple(values))
         assert s.mean_rmse == float(np.mean(values))
         assert s.median_rmse == float(np.median(values))
+
+    @pytest.mark.parametrize("values", [(math.nan, 0.1, 0.2), (0.2, 0.1, math.nan),
+                                        (0.1, math.nan)])
+    def test_median_with_a_nan_is_nan(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert math.isnan(np.median(values))
+        assert math.isnan(MethodScore("m", values).median_rmse)
 
     def test_statistics_computed_once(self):
         s = MethodScore("m", (0.1, 0.4, 0.2))

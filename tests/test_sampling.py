@@ -27,7 +27,7 @@ from lebesgue_interp.sampling import (
     _send_on_delta,
     threshold_candidates,
 )
-from oracles import bundle_fraction, points, trace_send_on_delta
+from oracles import bisect_candidate_grid, bundle_fraction, points, trace_send_on_delta
 
 
 class TestLebesgueSample:
@@ -335,25 +335,6 @@ class TestTuneThreshold:
         assert frac <= target
         if i > 0:
             assert fracs[i - 1] > target  # immediate predecessor busts the budget
-
-
-def bisect_candidate_grid(bundle, target):
-    """The tuning bisection over the whole grid ``threshold_candidates`` builds."""
-    cands = threshold_candidates(bundle)
-    lo, hi = 0, len(cands) - 1
-    hi_frac = bundle_fraction(bundle, float(cands[hi]))
-    if hi_frac > target:
-        above = float(np.nextafter(cands[hi], np.inf))
-        least = bundle_fraction(bundle, above)
-        return ("infeasible", least) if least > target else (above, least)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        mid_frac = bundle_fraction(bundle, float(cands[mid]))
-        if mid_frac <= target:
-            hi, hi_frac = mid, mid_frac
-        else:
-            lo = mid + 1
-    return float(cands[hi]), hi_frac
 
 
 @contextmanager
