@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from .bench import (
     METHODS,
     ExperimentConfig,
     ExperimentMode,
+    _run_datasets,
     _ucr_split,
     emit_report,
     generate_synthetic_corpus,
@@ -169,7 +171,11 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
     )
     if args.data_dir is not None:
-        bundles = [load_ucr_dataset(*pair) for pair in _discover_datasets(Path(args.data_dir))]
+        # each pair is parsed by the process that scores it, and weighs its file bytes
+        pairs = _discover_datasets(Path(args.data_dir))
+        loaders = [functools.partial(load_ucr_dataset, *pair) for pair in pairs]
+        weights = [sum(p.stat().st_size for p in pair if p is not None) for pair in pairs]
+        report = _run_datasets(loaders, weights, config)
     else:
         counts = {}
         for token in args.synthetic.split(","):
@@ -185,7 +191,7 @@ def _cmd_bench(args) -> int:
             generate_synthetic_corpus(args.seed + i, {fam: cnt}, length=args.length, name=fam)
             for i, (fam, cnt) in enumerate(counts.items())
         ]
-    report = run_benchmark(bundles, config)
+        report = run_benchmark(bundles, config)
     written = emit_report(report, args.out)
     best = report.summary[0]
     print(f"{len(report.datasets)} dataset(s); best method {best.method_name} "

@@ -326,7 +326,9 @@ def tune_threshold(bundle: DatasetBundle, budget: SampleBudget) -> tuple[float, 
 
     When even the largest candidate keeps too many points, the next float
     above it is tried: it exceeds every difference, so nothing fires after
-    each signal's first point, which is the least any threshold keeps.
+    each signal's first point, which is the least any threshold keeps. When
+    the largest candidate is the largest float, no finite threshold lies
+    above it, and the least is its own fraction.
 
     The grid is read by rank from value buckets (``_DifferenceGrid``), so
     memory stays bounded however long the signals are.
@@ -340,8 +342,8 @@ def tune_threshold(bundle: DatasetBundle, budget: SampleBudget) -> tuple[float, 
     lo, hi = 0, len(cands) - 1
     hi_frac = _kept_fraction(signals, cands[hi])
     if hi_frac > target:
-        above = float(np.nextafter(cands[hi], np.inf))
-        least = _kept_fraction(signals, above)
+        above = math.nextafter(cands[hi], math.inf)
+        least = hi_frac if math.isinf(above) else _kept_fraction(signals, above)
         if least > target:
             raise InfeasibleBudgetError(f"dataset {bundle.name!r}: budget {target} infeasible: "
                                         f"minimum achievable fraction is {least:.6g}",

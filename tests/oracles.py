@@ -139,13 +139,19 @@ def pchip_loop(knots, length):
             elif np.sign(d0) != np.sign(d1) and abs(s) > 3.0 * abs(d0):
                 s = 3.0 * d0
             m[i] = s
-    for k in range(len(x) - 1):
-        i0, i1, hk = int(x[k]), int(x[k + 1]), h[k]
-        t = np.arange(i1 - i0) / hk
-        out[i0:i1] = ((1.0 + 2.0 * t) * (1.0 - t) ** 2 * y[k] + hk * (t * (1.0 - t) ** 2) * m[k]
-                      + t * t * (3.0 - 2.0 * t) * y[k + 1] + hk * (t * t * (t - 1.0)) * m[k + 1])
-        out[i0] = y[k]
-    out[int(x[-1])] = y[-1]
+    # each gap in Python floats, point by point: numpy's operations in numpy's order,
+    # with (1 - t) ** 2 as u * u, which is how numpy squares
+    xs, ys, hs, ms = x.astype(int).tolist(), y.tolist(), h.tolist(), m.tolist()
+    for k in range(len(xs) - 1):
+        i0, i1, hk, y0, y1, m0, m1 = xs[k], xs[k + 1], hs[k], ys[k], ys[k + 1], ms[k], ms[k + 1]
+        gap = [y0]
+        for j in range(1, i1 - i0):
+            t = j / hk
+            u = 1.0 - t
+            gap.append((1.0 + 2.0 * t) * (u * u) * y0 + hk * (t * (u * u)) * m0
+                       + t * t * (3.0 - 2.0 * t) * y1 + hk * (t * t * (t - 1.0)) * m1)
+        out[i0:i1] = gap
+    out[xs[-1]] = ys[-1]
     return out
 
 

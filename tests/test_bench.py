@@ -1,10 +1,14 @@
+import contextlib
 import dataclasses
 import importlib.util
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -131,6 +135,13 @@ class TestLoadUcrDataset:
         padded = tmp_path / "Padded_TRAIN.tsv"
         padded.write_text("1\t0.1\t0.2\tNaN\tNaN\n")
         np.testing.assert_array_equal(load_ucr_dataset(padded).signals[0].values, [0.1, 0.2])
+
+    def test_file_of_blank_lines_rejected(self, tmp_path):
+        blank = tmp_path / "Blank_TRAIN.tsv"
+        blank.write_text("\n   \n\n")
+        with pytest.raises(InvalidInputError) as err:
+            load_ucr_dataset(blank)
+        assert str(err.value) == f"no data rows in {blank}"
 
     def test_row_without_values_rejected(self, tmp_path):
         bad = tmp_path / "Empty_TRAIN.tsv"
@@ -392,6 +403,10 @@ class TestRunExperiment:
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidInputError):
             ExperimentConfig(methods=("zoh", "magic"))
+
+    def test_no_method_rejected(self):
+        with pytest.raises(InvalidInputError, match="^at least one method is required$"):
+            ExperimentConfig(methods=())
 
     def test_repeated_method_rejected(self):
         with pytest.raises(InvalidInputError, match=r"named more than once: \['zoh'\]$"):
@@ -687,6 +702,163 @@ class TestRunBenchmark:
             report = run_benchmark(bundles, ExperimentConfig(methods=("zoh", "linear")))
         assert agg.call_count == 1
         assert [d.dataset for d in report.datasets] == ["d0", "d1", "d2"]
+
+
+def _cpus(n):
+    """A stand-in for os.sched_getaffinity that reports n usable CPUs."""
+    return lambda pid: set(range(n))
+
+
+@contextlib.contextmanager
+def _every_worker_reaped():
+    threads = threading.active_count()
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == threads
+
+
+def _forked_run(bundles, config, cpus, monkeypatch):
+    """The report run_benchmark builds at ``cpus`` usable CPUs, and the forks it made."""
+    monkeypatch.setattr(os, "sched_getaffinity", _cpus(cpus))
+    with _every_worker_reaped(), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        report = run_benchmark(bundles, config)
+    return report, fork.call_count
+
+
+def _corpus():
+    """Five datasets of mixed signal counts and lengths."""
+    specs = [("step", 4, 150), ("sine", 6, 120), ("walk", 3, 200), ("triangle", 5, 180),
+             ("ramp", 2, 100)]
+    return [generate_synthetic_corpus(20 + i, {fam: n}, length=length, name=fam)
+            for i, (fam, n, length) in enumerate(specs)]
+
+
+def _failing_ucr_dir(root):
+    """Four datasets in discovery order: A scores, B's budget is infeasible at 0.1, C does
+    not parse at its last row, D scores. C is the heaviest, so this process runs it."""
+    root.mkdir()
+    line = "1\t" + "\t".join(map(repr, np.linspace(0.0, 1.0, 80).tolist()))
+    (root / "A_TRAIN.tsv").write_text("\n".join([line] * 5) + "\n")
+    (root / "B_TRAIN.tsv").write_text("1\t0.0\t1.0\t0.0\t1.0\n")
+    (root / "C_TRAIN.tsv").write_text("\n".join([line] * 8 + ["1\t0.5\tabc\t0.2"]) + "\n")
+    (root / "D_TRAIN.tsv").write_text("\n".join([line] * 4) + "\n")
+    return root
+
+
+class TestForkedRuns:
+    @pytest.mark.parametrize("mode", list(ExperimentMode))
+    def test_reports_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, mode):
+        bundles, config = _corpus(), ExperimentConfig(mode=mode)
+        files = {}
+        for cpus, forks in ((1, 0), (2, 1), (8, 4)):
+            report, made = _forked_run(bundles, config, cpus, monkeypatch)
+            assert made == forks
+            paths = emit_report(report, tmp_path / str(cpus))
+            files[cpus] = {p.name: p.read_bytes() for p in paths}
+        assert files[2] == files[1] and files[8] == files[1]
+
+    def test_cli_output_does_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, capsys):
+        data = str(_ragged_ucr_dir(tmp_path / "ucr"))
+        monkeypatch.chdir(tmp_path)  # stdout names the --out files
+        seen = {}
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(os, "sched_getaffinity", _cpus(cpus))
+            with _every_worker_reaped():
+                code = main(["bench", "--experiment", "2", "--data-dir", data, "--out", "out"])
+            files = {p.name: p.read_bytes() for p in Path("out").iterdir()}
+            seen[cpus] = code, capsys.readouterr(), files
+        assert seen[1][0] == 0
+        assert seen[2] == seen[1] and seen[8] == seen[1]
+
+    @pytest.mark.parametrize("case", ["one-cpu", "one-dataset", "no-affinity", "live-thread"])
+    def test_no_fork_where_it_cannot_pay_or_is_unsafe(self, monkeypatch, case):
+        bundles = _corpus()[:1] if case == "one-dataset" else _corpus()
+        config = ExperimentConfig(methods=("zoh", "pchip"))
+        want = run_benchmark(bundles, config)
+        monkeypatch.setattr(os, "sched_getaffinity", _cpus(1 if case == "one-cpu" else 2))
+        if case == "no-affinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if case == "live-thread":
+            thread.start()
+        try:
+            with _every_worker_reaped(), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+                got = run_benchmark(bundles, config)
+        finally:
+            stop.set()
+            if case == "live-thread":
+                thread.join()
+        assert fork.call_count == 0
+        assert got == want
+
+    def test_first_failing_dataset_in_order_is_named(self, tmp_path, monkeypatch, capsys):
+        # B fails in a worker's scoring and C, later in order, in this process's parse: every
+        # CPU count names B, as the in-order run does
+        data = str(_failing_ucr_dir(tmp_path / "data"))
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(os, "sched_getaffinity", _cpus(cpus))
+            with _every_worker_reaped():
+                code = main(["bench", "--experiment", "2", "--budget", "0.1", "--data-dir", data,
+                             "--out", str(tmp_path / "out")])
+            assert (code, capsys.readouterr().err) == (1, (
+                "error: dataset 'B': budget 0.1 infeasible: minimum achievable fraction is 0.25\n"
+            )), cpus
+            assert not (tmp_path / "out").exists()
+
+    def test_datasets_of_a_worker_that_dies_run_here(self, monkeypatch):
+        bundles, config = _corpus(), ExperimentConfig(methods=("zoh", "zeli"))
+        want = run_benchmark(bundles, config)
+        here, run = os.getpid(), bench.run_experiment
+
+        def dies_in_a_worker(bundle, config):
+            if os.getpid() != here:
+                os.kill(os.getpid(), signal.SIGKILL)  # as the kernel's OOM killer would
+            return run(bundle, config)
+
+        monkeypatch.setattr(bench, "run_experiment", dies_in_a_worker)
+        got, forks = _forked_run(bundles, config, 4, monkeypatch)
+        assert forks == 3
+        assert got == want
+
+    def test_an_error_here_kills_and_reaps_the_workers(self, monkeypatch):
+        here = os.getpid()
+
+        def interrupted_here(bundle, config):
+            # a worker outlasts the test unless killed, but neither this process nor a minute
+            deadline = time.monotonic() + 60
+            while os.getpid() != here and os.getppid() == here and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bench, "run_experiment", interrupted_here)
+        monkeypatch.setattr(os, "sched_getaffinity", _cpus(3))
+        start = time.monotonic()
+        with _every_worker_reaped(), pytest.raises(KeyboardInterrupt):
+            run_benchmark(_corpus(), ExperimentConfig())
+        assert time.monotonic() - start < 30
+
+    def test_only_the_fork_warning_is_ignored(self, monkeypatch):
+        # CPython 3.12+ warns in the parent at every fork of a process with a second OS thread
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                              "may lead to deadlocks in the child.", DeprecationWarning)
+                warnings.warn("some other deprecation", DeprecationWarning)
+            return pid
+
+        bundles, config = _corpus(), ExperimentConfig(methods=("zoh", "linear"))
+        want = run_benchmark(bundles, config)
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, _ = _forked_run(bundles, config, 2, monkeypatch)
+        assert [str(w.message) for w in caught] == ["some other deprecation"]
+        assert got == want
 
 
 def test_every_benchmark_target_exists():

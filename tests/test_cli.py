@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from lebesgue_interp import (
     ExperimentConfig,
+    ParseError,
     ReconstructionParams,
     TimeSeries,
     cli,
@@ -144,6 +145,15 @@ class TestReconstructCommand:
                      "--output", str(tmp_path / "r.csv"), "--method", "linear"])
         assert code == 1
         assert f"error: {sampled}: non-finite value 'inf' at row 3, column 1" in capsys.readouterr().err
+
+    def test_row_of_three_fields_names_file_and_row(self, tmp_path):
+        sampled = tmp_path / "s.csv"
+        sampled.write_text("# source_length=5 threshold=0.05\nindex,value\n0,0.0\na,b,c\n")
+        with pytest.raises(ParseError) as err:
+            cli._read_sampled(sampled, None, None)
+        assert str(err.value) == f"{sampled}: expected 'index,value' at row 3"
+        assert main(["reconstruct", "--input", str(sampled), "--output", str(tmp_path / "r.csv"),
+                     "--method", "linear"]) == 1
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_overflowing_knots_never_written(self, tmp_path, method):
@@ -709,7 +719,8 @@ class TestVerifyAndHelp:
 
 
 _BENCH_BOTH_EXPERIMENTS = """
-import sys
+import os, sys
+os.sched_getaffinity = lambda pid: {0}  # one CPU: every dataset runs in this process
 from lebesgue_interp import SampleBudget, generate_synthetic_corpus, tune_threshold
 from lebesgue_interp.cli import main
 for experiment in ("1", "2"):

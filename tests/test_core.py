@@ -9,6 +9,7 @@ from lebesgue_interp import (
     InvalidInputError,
     ReconstructionParams,
     SampledSeries,
+    ShapeError,
     TimeSeries,
     lebesgue_sample,
     normalize_unit_interval,
@@ -36,6 +37,11 @@ class TestTimeSeries:
     def test_rejects_empty(self):
         with pytest.raises(InvalidInputError):
             TimeSeries([])
+
+    def test_rejects_two_dimensions(self):
+        with pytest.raises(InvalidInputError,
+                           match=r"^signal must be one-dimensional, got shape \(2, 2\)$"):
+            TimeSeries([[0.0, 1.0], [2.0, 3.0]])
 
     def test_immutable_values(self):
         ts = TimeSeries([1.0, 2.0])
@@ -143,6 +149,11 @@ class TestSampledSeries:
         with pytest.raises(InvalidInputError):
             SampledSeries(np.array([0]), np.array([0.0]), 5, -0.1)
 
+    def test_more_indices_than_values_rejected(self):
+        with pytest.raises(ShapeError, match=r"^indices and values must be equal-length 1-d "
+                                             r"arrays, got \(3,\) vs \(2,\)$"):
+            SampledSeries(np.array([0, 1, 2]), np.array([0.0, 1.0]), 5, 0.0)
+
     def test_points_and_fraction(self):
         s = SampledSeries(np.array([0, 4]), np.array([0.5, 0.9]), 10, 0.05)
         assert points(s) == [(0, 0.5), (4, 0.9)]
@@ -165,6 +176,11 @@ class TestReconstructionParams:
     def test_negative_distance_rejected(self):
         with pytest.raises(InvalidInputError):
             ReconstructionParams(threshold=0.05, previous_distance=-1)
+
+    def test_negative_max_distance_rejected(self):
+        with pytest.raises(InvalidInputError,
+                           match=r"^subsequent_max_distance must be >= 0 or None, got -1$"):
+            ReconstructionParams(0.05, subsequent_max_distance=-1)
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])

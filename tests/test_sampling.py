@@ -256,6 +256,18 @@ class TestTuneThreshold:
         )
         assert err.value.min_achievable_fraction == 0.25
 
+    def test_largest_difference_at_the_float_ceiling_is_infeasible(self, ts):
+        # no finite threshold lies above a difference of the largest float, so the least
+        # fraction is the one at that difference; only library callers reach this, as bench
+        # normalizes first
+        bundle = DatasetBundle("Ceiling", (ts([0.0, 1.7976931348623157e308]),))
+        with pytest.raises(InfeasibleBudgetError) as err:
+            tune_threshold(bundle, SampleBudget(0.5))
+        assert str(err.value) == (
+            "dataset 'Ceiling': budget 0.5 infeasible: minimum achievable fraction is 1"
+        )
+        assert err.value.min_achievable_fraction == 1.0
+
     @pytest.mark.parametrize(
         "values, want",
         [([0.3] * 10, (5e-324, 0.1)), ([0.0, 1.0, 0.0, 1.0], (np.nextafter(1.0, np.inf), 0.25))],

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lebesgue_interp import (
+    InvalidInputError,
     ReconstructionParams,
     TimeSeries,
     generate_synthetic_corpus,
@@ -66,6 +67,10 @@ class TestAbruptLimitCondition:
 
     def test_adjacent_knots_have_no_interior(self):
         assert abrupt_limit_condition(3, 0.0, 4, 0.9, 0.05) is False
+
+    def test_unordered_endpoints_rejected(self):
+        with pytest.raises(InvalidInputError, match="^interval endpoints must be ordered, got 5 >= 5"):
+            abrupt_limit_condition(5, 0.0, 5, 1.0, 0.1)
 
     @given(
         xa=st.integers(0, 40),
