@@ -14,19 +14,16 @@ import dataclasses
 import json
 import math
 import os
-import pickle
-import signal
-import threading
-import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, NoReturn, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .baselines import chord_kernel, cubic_kernel, hold_kernel, nearest_kernel, reconstruct_block
-from .core import DatasetBundle, ReconstructionParams, _normalize
+from .core import DatasetBundle, ReconstructionParams, _fork_map, _fork_procs, _normalize
 from .errors import InvalidInputError, ParseError
 from .metrics import (
     DatasetResult,
@@ -400,73 +397,38 @@ def run_benchmark(bundles: Sequence[DatasetBundle], config: ExperimentConfig) ->
                          config)
 
 
-# CPython 3.12+ warns at a fork whenever the process has more than one OS thread, and
-# numpy's OpenBLAS keeps a thread of its own
-_FORK_WARNING = (r"This process \(pid=\d+\) is multi-threaded, "
-                 r"use of fork\(\) may lead to deadlocks in the child\.")
-
-
 def _run_datasets(loaders: Sequence[Callable[[], DatasetBundle]], weights: Sequence[int],
                   config: ExperimentConfig) -> MethodReport:
     """The report of ``run_experiment(load(), config)`` for each loader, in loader order.
 
-    With two or more datasets, two or more usable CPUs and no other Python thread alive,
-    the datasets are shared out over forked worker processes (``_run_forked``). Every
+    Where ``_fork_procs`` allows two or more processes, the datasets are shared out over
+    them (``_shares``), and each share runs on its own process (``_fork_map``). Every
     dataset without a result from them, all of them otherwise, runs here in dataset order,
     so a run that fails raises what the in-order run raises.
     """
-    affinity = getattr(os, "sched_getaffinity", None)
-    procs = min(len(loaders), len(affinity(0)) if affinity else 1)
-    forked = procs > 1 and threading.active_count() == 1
-    results = _run_forked(loaders, weights, procs, config) if forked else {}
+    procs = _fork_procs(len(loaders))
+    results = {}
+    if procs > 1:
+        shares = _shares(weights, procs)
+        for got in _fork_map([partial(_run_share, share, loaders, config) for share in shares]):
+            results.update(got or {})
     per_dataset = [results[i] if i in results else run_experiment(load(), config)
                    for i, load in enumerate(loaders)]
     return aggregate_report(per_dataset, config=config.echo())
 
 
-def _run_forked(loaders: Sequence[Callable[[], DatasetBundle]], weights: Sequence[int],
-                procs: int, config: ExperimentConfig) -> dict[int, DatasetResult]:
-    """The results of ``procs`` processes, this one and ``procs - 1`` workers forked before
-    any work starts, by dataset index. Each dataset goes, heaviest first by ``weights``, to
-    the least-loaded process, and each process loads and runs its own share in order, so it
-    holds only its own datasets. A share stops at its first dataset that raises, and a
-    worker that dies returns nothing; if this process raises, every worker is killed. Every
-    worker is reaped before this returns."""
+def _shares(weights: Sequence[int], procs: int) -> list[list[int]]:
+    """Dataset indices split over ``procs`` processes: each dataset goes, heaviest first by
+    ``weights``, to the least-loaded process, and each share is in dataset order, so each
+    process loads and holds only its own datasets."""
     shares, totals = [[] for _ in range(procs)], [0] * procs
-    for i in sorted(range(len(loaders)), key=lambda i: -weights[i]):
+    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
         p = min(range(procs), key=lambda p: (totals[p], len(shares[p])))
         shares[p].append(i)
         totals[p] += weights[i]
     for share in shares:
         share.sort()
-    workers = []  # each worker's pid and the read end of its pipe
-    try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            # Safe: no other Python thread is alive, a worker makes no BLAS call, and
-            # OpenBLAS re-initialises its threads after a fork.
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                _work(share, loaders, config, write)
-            os.close(write)
-            workers.append((pid, open(read, "rb")))
-        results = _run_share(shares[0], loaders, config)
-        while workers:
-            pid, fh = workers[0]
-            data = fh.read()
-            fh.close()
-            status = os.waitpid(pid, 0)[1]
-            del workers[0]
-            if os.waitstatus_to_exitcode(status) == 0:
-                results.update(pickle.loads(data))
-    finally:
-        for pid, fh in workers:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            fh.close()
-    return results
+    return shares
 
 
 def _run_share(share: Sequence[int], loaders: Sequence[Callable[[], DatasetBundle]],
@@ -480,19 +442,6 @@ def _run_share(share: Sequence[int], loaders: Sequence[Callable[[], DatasetBundl
         except Exception:
             break
     return results
-
-
-def _work(share: Sequence[int], loaders: Sequence[Callable[[], DatasetBundle]],
-          config: ExperimentConfig, write: int) -> NoReturn:
-    """A forked worker: pickle its share's results into the pipe ``write`` and end the
-    process, with status 0 only when every byte was written. It never returns."""
-    code = 1
-    try:
-        with open(write, "wb") as fh:
-            pickle.dump(_run_share(share, loaders, config), fh, pickle.HIGHEST_PROTOCOL)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 # ---------------------------------------------------------------------------

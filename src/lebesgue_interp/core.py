@@ -1,4 +1,4 @@
-"""Shared domain types and normalization.
+"""Shared domain types, normalization, and the forked runs of bench and tuning.
 
 The time axis is always the integer sample index 0..n-1; values are float64,
 read-only after construction, and safe to share across threads.
@@ -7,8 +7,13 @@ read-only after construction, and safe to share across threads.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
+import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -196,3 +201,73 @@ def normalize_unit_interval(series: TimeSeries) -> TimeSeries:
     term is halved first, which is exact outside the subnormal range.
     """
     return TimeSeries._of(_normalize(series.values, np.array([0, len(series)])))
+
+
+# CPython 3.12+ warns at a fork whenever the process has more than one OS thread, and
+# numpy's OpenBLAS keeps a thread of its own
+_FORK_WARNING = (r"This process \(pid=\d+\) is multi-threaded, "
+                 r"use of fork\(\) may lead to deadlocks in the child\.")
+
+# True in a process while it runs ``_fork_map``, and in every worker forked there: a fork
+# is a property of the whole process, so this is module state, and it keeps forks from nesting
+_forking = False
+
+
+def _fork_procs(jobs: int) -> int:
+    """How many processes ``_fork_map`` may share ``jobs`` jobs over: one per usable CPU
+    (``os.sched_getaffinity``; one where it does not exist), at most ``jobs``, and one when
+    another Python thread is alive, where a fork is unsafe, or inside a forked run."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if _forking or affinity is None or threading.active_count() > 1:
+        return 1
+    return max(1, min(jobs, len(affinity(0))))
+
+
+def _fork_map(jobs: Sequence[Callable[[], object]]) -> list:
+    """Each job's result, in job order: ``jobs[0]`` runs in this process and every other job
+    in a worker forked before it starts. A worker pickles its result into a pipe and ends
+    with ``os._exit``, with status 0 only once every byte is written; the result of a worker
+    that ends in any other way is None, for the caller to run that job itself. If this
+    process raises, every worker is killed. Every worker is reaped before this returns."""
+    global _forking
+    workers = []  # each worker's pid and the read end of its pipe
+    _forking = True
+    try:
+        for job in jobs[1:]:
+            read, write = os.pipe()
+            # Safe: no other Python thread is alive, a worker makes no BLAS call, and
+            # OpenBLAS re-initialises its threads after a fork.
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                _work(job, write)
+            os.close(write)
+            workers.append((pid, open(read, "rb")))
+        results = [jobs[0]()]
+        while workers:
+            pid, fh = workers[0]
+            data = fh.read()
+            fh.close()
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            results.append(pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else None)
+    finally:
+        _forking = False
+        for pid, fh in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            fh.close()
+    return results
+
+
+def _work(job: Callable[[], object], write: int) -> NoReturn:
+    """A forked worker: pickle ``job()`` into the pipe ``write`` and end the process, with
+    status 0 only when every byte was written. It never returns."""
+    code = 1
+    try:
+        with open(write, "wb") as fh:
+            pickle.dump(job(), fh, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)

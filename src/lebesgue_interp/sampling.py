@@ -8,14 +8,13 @@ spreads a fixed count of points evenly over the index range.
 from __future__ import annotations
 
 import math
-import threading
 from array import array
 from dataclasses import dataclass
-from queue import SimpleQueue
+from functools import partial
 
 import numpy as np
 
-from .core import DatasetBundle, SampledSeries, TimeSeries, _check_threshold
+from .core import DatasetBundle, SampledSeries, TimeSeries, _check_threshold, _fork_map, _fork_procs
 from .errors import InfeasibleBudgetError, InvalidInputError
 
 __all__ = [
@@ -26,9 +25,13 @@ __all__ = [
 ]
 
 # Budget tuning reads its candidate grid in value buckets of at most this many
-# pairs. The grid pass holds two such buckets, one being sorted while the next
-# is gathered; a probe holds one. No other part of the grid is ever in memory.
+# pairs. Each process of the grid pass holds one such bucket, and a probe holds
+# the slice between two marks of one. No other part of the grid is ever in memory.
 _BUCKET_PAIRS = 2**18
+# The pass marks each sorted bucket at every this many positions, or more where
+# the grid has over 2**16 times as many pairs, so it keeps at most 2**16 marks
+# plus one per bucket.
+_MARK_PAIRS = 2**12
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,12 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     """The distinct values of a non-empty sorted array, in order: each one
     that differs from its left neighbour. ``np.unique`` gives the same values
     but loads ``numpy.ma`` on its first call in a process."""
-    return a[np.append(True, a[1:] != a[:-1])]
+    return a[_new(a)]
+
+
+def _new(a: np.ndarray) -> np.ndarray:
+    """Where a non-empty sorted array holds a value its left neighbour does not."""
+    return np.append(True, a[1:] != a[:-1])
 
 
 def threshold_candidates(bundle: DatasetBundle) -> np.ndarray:
@@ -148,15 +156,20 @@ class _DifferenceGrid:
     contiguous j-range per i. One pass cuts (0, largest difference] into
     buckets of at most ``_BUCKET_PAIRS`` pairs. A piece is left with more
     pairs than that only when all of them equal its upper edge b, and it is
-    the one-value bucket ``[b]``. Every bucket is sorted and summarised the
-    same way: the pass keeps only its largest value and the running count of
-    distinct values. The pass is a two-stage pipeline over two bucket buffers,
-    allocated once: a helper thread sorts bucket k in one buffer while this
-    thread finds the next edge and gathers bucket k + 1 into the other, since
-    numpy's sort runs without the GIL and the gather holds it. A rank then
-    rebuilds the one bucket that holds it, on this thread, so memory is
-    O(n + _BUCKET_PAIRS + N / _BUCKET_PAIRS) for n values and N pairs,
-    against O(N) for the whole grid.
+    the one-value bucket ``[b]``. Every bucket is gathered into one buffer,
+    sorted in place and summarised by its marks: its value at every s-th
+    sorted position and at its end, with the grid rank of each, where s is
+    ``_MARK_PAIRS`` or pairs / 2**16 if that is more.
+
+    The pass is split by value range: the first cut's edges, spaced by pair
+    count, are shared out in contiguous runs over up to one process per usable
+    CPU (``core._fork_procs``), and each process passes its run alone
+    (``_pass``). A worker that fails has its run passed again here, so an
+    error raises as in the one-process pass. A rank between two marks then
+    rebuilds the pairs between them, one slice of at most about s pairs plus
+    the copies of its upper mark, on this process, so memory is
+    O(n + _BUCKET_PAIRS + 2**16) per process for n values, against O(N) for
+    the whole grid of N pairs.
     """
 
     def __init__(self, bundle: DatasetBundle):
@@ -171,38 +184,21 @@ class _DifferenceGrid:
         self._u = np.concatenate(parts)
         self._first = np.arange(1, self._u.size + 1)  # i's pairs run over [i + 1, end)
         self._end = starts + np.repeat(sizes, sizes)
-        # tops[k] is the largest value of bucket k and ranks[k] its rank; 0.0 is rank 0
-        tops, ranks = [0.0], [0]
-        pending = None  # the bucket on the helper thread, sorted once ``done`` answers
-
-        def settle():
-            if pending is not None:
-                if (err := done.get()) is not None:
-                    raise err
-                tops.append(float(pending[-1]))
-                ranks.append(ranks[-1] + int(np.count_nonzero(pending[1:] != pending[:-1])) + 1)
-
-        pairs = int(np.sum(self._end - self._first))
-        bufs = [np.empty(min(_BUCKET_PAIRS, pairs)) for _ in range(2)]
-        jobs, done = SimpleQueue(), SimpleQueue()
-        helper = threading.Thread(target=_sort_each, args=(jobs, done))
-        helper.start()
-        try:
-            for lo, hi, count, b in self._pieces(max(spans)):
-                if count <= _BUCKET_PAIRS:
-                    d = self._gather(lo, hi, bufs[0][:count])
-                else:  # too many pairs, but all of them equal b
-                    d = np.array([b])
-                settle()
-                jobs.put(d)
-                bufs.reverse()
-                pending = d
-            settle()
-        finally:
-            jobs.put(None)
-            helper.join()
-        self._tops = np.array(tops)
-        self._ranks = np.array(ranks)
+        self._pairs = int(np.sum(self._end - self._first))
+        self._every = max(_MARK_PAIRS, -(-self._pairs // 2**16))
+        top = max(spans)
+        hi = self._ends(top)
+        count = int(np.sum(hi - self._first))
+        edges = [*(self._cuts(self._first, hi, count, top) if count > _BUCKET_PAIRS else []), top]
+        procs = _fork_procs(len(edges))
+        runs = [edges[p * len(edges) // procs:(p + 1) * len(edges) // procs] for p in range(procs)]
+        lows = [0.0, *(run[-1] for run in runs[:-1])]  # each run's lower edge
+        passes = [partial(self._pass, a, run) for a, run in zip(lows, runs)]
+        done = _fork_map(passes) if procs > 1 else [None]
+        tops, counts = zip(*(got or run() for got, run in zip(done, passes)))
+        # tops[k] is the value of mark k and ranks[k] its rank; 0.0 is rank 0
+        self._tops = np.concatenate([[0.0], *tops])
+        self._ranks = np.cumsum(np.concatenate([[0], *counts]))
         self._cached: tuple[int, np.ndarray] | None = None
 
     def __len__(self) -> int:
@@ -214,19 +210,42 @@ class _DifferenceGrid:
             return float(self._tops[k])
         if self._cached is None or self._cached[0] != k:
             a, b = float(self._tops[k - 1]), float(self._tops[k])
-            self._cached = None  # free the old bucket before building the new one
+            self._cached = None  # free the old slice before building the new one
             lo, hi = self._ends(a), self._ends(b)
             d = self._gather(lo, hi, np.empty(int(np.sum(hi - lo))))
             d.sort()
             self._cached = k, _distinct(d)
         return float(self._cached[1][rank - self._ranks[k - 1] - 1])
 
-    def _pieces(self, top: float):
-        """Cut (0, top] into pieces of at most ``_BUCKET_PAIRS`` pairs, or of
-        one value, in ascending order; yield each non-empty one as the pairs
-        i, [lo[i], hi[i]), their count and the piece's upper edge b."""
-        a, lo = 0.0, self._first
-        todo = [top]  # upper edges; the next on top
+    def _pass(self, a: float, edges: list[float]) -> tuple[np.ndarray, np.ndarray]:
+        """The marks of the grid's values in (a, edges[-1]], cut first at ``edges``
+        (ascending): each mark's value and the count of distinct values since the
+        mark before it, which ``__init__`` sums into ranks."""
+        buf = np.empty(min(_BUCKET_PAIRS, self._pairs))
+        tops, counts = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+        lo = self._first if a == 0.0 else self._ends(a)
+        for lo, hi, count, b in self._pieces(a, lo, edges):
+            if count > _BUCKET_PAIRS:  # too many pairs, but all of them equal b
+                tops.append(np.array([b]))
+                counts.append(np.array([1]))
+                continue
+            d = self._gather(lo, hi, buf[:count])
+            d.sort()
+            new, s = _new(d), self._every
+            m = d.size // s
+            tops.append(d[s - 1:m * s:s].copy())  # d is the buffer the next bucket reuses
+            counts.append(np.count_nonzero(new[:m * s].reshape(m, s), axis=1))
+            if m * s < d.size:
+                tops.append(d[-1:].copy())
+                counts.append(np.array([np.count_nonzero(new[m * s:])]))
+        return np.concatenate(tops), np.concatenate(counts)
+
+    def _pieces(self, a: float, lo: np.ndarray, edges: list[float]):
+        """Cut (a, edges[-1]] at ``edges`` (ascending), and each piece again into
+        pieces of at most ``_BUCKET_PAIRS`` pairs, or of one value, in ascending
+        order; ``lo`` is ``_ends(a)``. Yield each non-empty piece as the pairs i,
+        [lo[i], hi[i]), their count and the piece's upper edge b."""
+        todo = edges[::-1]  # upper edges; the next on top
         while todo:
             b = todo[-1]
             hi = self._ends(b)
@@ -298,20 +317,6 @@ class _DifferenceGrid:
         sample = np.sort(self._u[lo[i] + at - total[i] + k[i]] - self._u[i])
         cuts = _distinct(sample[np.arange(1, pieces) * size // pieces])
         return cuts[cuts < b].tolist()
-
-
-def _sort_each(jobs: SimpleQueue, done: SimpleQueue) -> None:
-    """The helper thread of a grid pass: sort each array ``jobs`` hands over
-    in place until None comes, and answer each on ``done`` with None, or with
-    the exception that ended the thread, whatever its type, for the pass to
-    raise: the pass waits on ``done`` and must never wait on a thread that is
-    gone."""
-    try:
-        while (d := jobs.get()) is not None:
-            d.sort()
-            done.put(None)
-    except BaseException as err:
-        done.put(err)
 
 
 def tune_threshold(bundle: DatasetBundle, budget: SampleBudget) -> tuple[float, float]:

@@ -839,6 +839,44 @@ class TestForkedRuns:
             run_benchmark(_corpus(), ExperimentConfig())
         assert time.monotonic() - start < 30
 
+    @pytest.mark.parametrize("case, want", [("one-dataset", 1), ("two-datasets", 1),
+                                            ("one-cpu", 0), ("live-thread", 0), ("one-bucket", 0)])
+    def test_forks_of_a_budget_run(self, tmp_path, monkeypatch, case, want):
+        # one dataset forks in its tune's grid pass, two fork for the datasets alone, and no
+        # process of a forked run forks again; the wrapper that counts the forks of every
+        # process appends to a file, and the workers inherit it
+        bundles = [generate_synthetic_corpus(5 + i, {"walk": 2}, length=60, name=f"w{i}")
+                   for i in range(2 if case == "two-datasets" else 1)]
+        config = ExperimentConfig(mode=ExperimentMode.BUDGET, target_fraction=0.3,
+                                  methods=("zoh", "linear"))
+        monkeypatch.setattr(os, "sched_getaffinity", _cpus(1))
+        want_report = run_benchmark(bundles, config)
+        log, fork = tmp_path / "forks", os.fork
+        log.touch()
+
+        def logged_fork():
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", logged_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", _cpus(1 if case == "one-cpu" else 2))
+        if case != "one-bucket":  # 3,540 pairs a dataset: one bucket at the real size
+            monkeypatch.setattr(sampling, "_BUCKET_PAIRS", 40)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        if case == "live-thread":
+            thread.start()
+        try:
+            with _every_worker_reaped():
+                got = run_benchmark(bundles, config)
+        finally:
+            stop.set()
+            if case == "live-thread":
+                thread.join()
+        assert len(log.read_text().split()) == want
+        assert got == want_report
+
     def test_only_the_fork_warning_is_ignored(self, monkeypatch):
         # CPython 3.12+ warns in the parent at every fork of a process with a second OS thread
         fork = os.fork

@@ -1,8 +1,11 @@
 import itertools
-import sys
+import os
+import signal
 import threading
+import time
 import tracemalloc
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -356,6 +359,22 @@ def bucket_pairs(size):
         yield
 
 
+@contextmanager
+def mark_pairs(every):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_MARK_PAIRS", every)
+        yield
+
+
+@contextmanager
+def usable_cpus(n):
+    """os.sched_getaffinity reports n usable CPUs: the grid pass forks on two or more,
+    and on one it runs whole in this process, where a peak or a count sees all of it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        yield
+
+
 @st.composite
 def signal_values(draw):
     n = draw(st.integers(1, 30))
@@ -440,7 +459,8 @@ class TestBoundedTuning:
             bundle = generate_synthetic_corpus(3, {"walk": 2}, n)
             tracemalloc.start()
             try:
-                tune_threshold(bundle, SampleBudget(0.15))
+                with usable_cpus(1):
+                    tune_threshold(bundle, SampleBudget(0.15))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -449,12 +469,13 @@ class TestBoundedTuning:
         assert peak(4000) <= 1.5 * peak(1000)
 
     def test_peak_memory_of_walks_at_default_buckets(self):
-        # the pass holds two bucket buffers, allocated once, plus gather
+        # the pass holds one bucket buffer, allocated once, plus gather
         # temporaries of about a quarter of a bucket
         bundle = generate_synthetic_corpus(4, {"walk": 20}, 1000)
         tracemalloc.start()
         try:
-            tune_threshold(bundle, SampleBudget(0.15))
+            with usable_cpus(1):
+                tune_threshold(bundle, SampleBudget(0.15))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -466,22 +487,22 @@ class TestBoundedTuning:
         bundle = generate_synthetic_corpus(4, {"walk": 20}, 1000)
         calls = []
         ends = _DifferenceGrid._ends
-        with pytest.MonkeyPatch.context() as mp:
+        with usable_cpus(1), pytest.MonkeyPatch.context() as mp:
             mp.setattr(_DifferenceGrid, "_ends", lambda grid, b: calls.append(b) or ends(grid, b))
             _DifferenceGrid(bundle)
         assert len(calls) <= 60
 
     def test_peak_memory_is_deterministic(self):
-        # the helper thread only sorts in place and every buffer is allocated once per pass,
-        # so the peak does not depend on how the two threads interleave; the first call in a
-        # process also loads modules numpy imports lazily, so it runs untraced
+        # every buffer is allocated once per pass, so two passes peak alike; the first call in
+        # a process also loads modules numpy imports lazily, so it runs untraced
         bundle = generate_synthetic_corpus(3, {"walk": 2}, 1000)
         tune_threshold(bundle, SampleBudget(0.15))
 
         def peak():
             tracemalloc.start()
             try:
-                tune_threshold(bundle, SampleBudget(0.15))
+                with usable_cpus(1):
+                    tune_threshold(bundle, SampleBudget(0.15))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -490,7 +511,7 @@ class TestBoundedTuning:
         assert abs(first - second) <= 0.01 * first
 
 
-# Fixed bundles for the pipelined grid pass. In the lattice, the difference 0.5
+# Fixed bundles for the forked grid pass. In the lattice, the difference 0.5
 # is rare and 1.0 common, so at every patched bucket size below a bucket of
 # one value (more pairs than a bucket, all equal) falls between two sorted ones.
 LATTICE = DatasetBundle("lattice", (TimeSeries([0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),))
@@ -498,26 +519,35 @@ ULPS = DatasetBundle("ulps", tuple(
     TimeSeries((base + np.spacing(base) * np.array(ks, dtype=float)).tolist())
     for base, ks in ((1.0, [-6, -5, -3, 0, 1, 2, 3, 6]), (-0.3, [4, -2, 0, 1, 5, -6, 2]))
 ))
+WALKS = generate_synthetic_corpus(5, {"walk": 2}, 60)  # 3,540 pairs: a grid of many 40-pair buckets
 
 
-def run_within(call, seconds=30.0):
-    """``call()`` on a daemon thread, failing the test instead of hanging when it
-    has not returned after ``seconds``; its result, or the exception it raised."""
-    out = {}
+@contextmanager
+def every_worker_reaped(seconds=30):
+    """Fail the test instead of hanging when the block has not ended after ``seconds``
+    (an alarm, as a thread would turn the fork off), and check that no child process
+    and no thread outlives it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
 
-    def target():
-        try:
-            out["result"] = call()
-        except BaseException as err:
-            out["error"] = err
+    threads = threading.active_count()
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == threads
 
-    runner = threading.Thread(target=target, daemon=True)
-    runner.start()
-    runner.join(seconds)
-    assert not runner.is_alive(), f"no answer within {seconds} s"
-    if "error" in out:
-        raise out["error"]
-    return out["result"]
+
+@contextmanager
+def forks():
+    """The forks this process makes, counted by a wrapper around os.fork."""
+    with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        yield fork
 
 
 class _SortFails(np.ndarray):
@@ -526,21 +556,27 @@ class _SortFails(np.ndarray):
 
 
 class TestGridPipeline:
-    """The grid pass sorts each bucket on a helper thread while this thread
-    gathers the next: the thread ends with the pass, whatever ends it, and
-    the buckets' summaries do not depend on how the threads interleave."""
+    """The grid pass shares its value range out over forked workers, one per usable CPU,
+    and marks each sorted bucket: the rank reads do not depend on the CPU count, the bucket
+    size or the mark spacing, every worker ends with the pass, whatever ends it, and an
+    error in a worker's share raises as in the one-process pass."""
 
     @pytest.mark.parametrize("bundle", [LATTICE, ULPS], ids=["lattice", "ulps"])
-    @pytest.mark.parametrize("size", [1, 2, 5])
-    def test_grid_read_by_rank_under_fast_switching(self, bundle, size):
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with bucket_pairs(size):
+    @pytest.mark.parametrize("size", [1, 2, 5, 40])
+    def test_grid_read_by_rank_on_forked_passes(self, bundle, size):
+        want = threshold_candidates(bundle).tolist()
+        for cpus, every in itertools.product([1, 2, 8], [1, 2, 3]):
+            with bucket_pairs(size), mark_pairs(every), usable_cpus(cpus), every_worker_reaped():
                 grid = _DifferenceGrid(bundle)
-                got = [grid[r] for r in range(len(grid))]
-        finally:
-            sys.setswitchinterval(interval)
+                assert [grid[r] for r in range(len(grid))] == want, (cpus, every)
+
+    @given(bundle=bundles, cpus=st.sampled_from([1, 2, 8]), size=st.sampled_from([1, 2, 5, 40]),
+           every=st.sampled_from([1, 2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_any_grid_read_by_rank_on_forked_passes(self, bundle, cpus, size, every):
+        with bucket_pairs(size), mark_pairs(every), usable_cpus(cpus), every_worker_reaped():
+            grid = _DifferenceGrid(bundle)
+            got = [grid[r] for r in range(len(grid))]
         assert got == threshold_candidates(bundle).tolist()
 
     @pytest.mark.parametrize("size", [1, 2, 5])
@@ -548,63 +584,92 @@ class TestGridPipeline:
         kinds = []
         pieces = _DifferenceGrid._pieces
 
-        def recorded(grid, top):
-            for piece in pieces(grid, top):
+        def recorded(grid, *args):
+            for piece in pieces(grid, *args):
                 kinds.append("one" if piece[2] > size else "sorted")
                 yield piece
 
-        with bucket_pairs(size), pytest.MonkeyPatch.context() as mp:
+        with bucket_pairs(size), usable_cpus(1), pytest.MonkeyPatch.context() as mp:
             mp.setattr(_DifferenceGrid, "_pieces", recorded)
             _DifferenceGrid(LATTICE)
         assert ["sorted", "one", "sorted"] in [kinds[i:i + 3] for i in range(len(kinds))]
 
     def test_helper_ends_with_a_tune(self):
-        before = threading.active_count()
-        bundle = generate_synthetic_corpus(5, {"walk": 2}, 60)
-        with bucket_pairs(40):
-            got = run_within(lambda: tune_threshold(bundle, SampleBudget(0.3)))
-        assert got == bisect_candidate_grid(bundle, 0.3)
-        assert threading.active_count() == before
+        with bucket_pairs(40), usable_cpus(2), every_worker_reaped(), forks() as fork:
+            got = tune_threshold(WALKS, SampleBudget(0.3))
+        assert fork.call_count == 1
+        assert got == bisect_candidate_grid(WALKS, 0.3)
 
     def test_helper_ends_with_an_infeasible_budget(self):
-        before = threading.active_count()
-        bundle = generate_synthetic_corpus(5, {"walk": 2}, 60)
-        with bucket_pairs(40), pytest.raises(InfeasibleBudgetError):
-            run_within(lambda: tune_threshold(bundle, SampleBudget(0.01)))
-        assert threading.active_count() == before
+        with bucket_pairs(40), usable_cpus(2), every_worker_reaped(), forks() as fork:
+            with pytest.raises(InfeasibleBudgetError):
+                tune_threshold(WALKS, SampleBudget(0.01))
+        assert fork.call_count == 1
 
     def test_error_in_the_pass_reaches_the_caller(self):
-        before = threading.active_count()
-        bundle = generate_synthetic_corpus(5, {"walk": 2}, 60)
-        calls = []
-        ends = _DifferenceGrid._ends
+        # the second edge at the largest difference fails: the worker's last edge, as the
+        # first one is the cut this process makes before it forks; the worker inherits the
+        # count, so its share fails, and so does its share passed again here
+        top = float(threshold_candidates(WALKS)[-1])
+        at_top, ends = [], _DifferenceGrid._ends
 
-        def third_fails(grid, b):
-            calls.append(b)
-            if len(calls) == 3:
-                raise RuntimeError("edge failed")
+        def second_top_fails(grid, b):
+            if b == top:
+                at_top.append(b)
+                if len(at_top) == 2:
+                    raise RuntimeError("edge failed")
             return ends(grid, b)
 
-        with bucket_pairs(40), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_DifferenceGrid, "_ends", third_fails)
-            with pytest.raises(RuntimeError, match="edge failed"):
-                run_within(lambda: tune_threshold(bundle, SampleBudget(0.3)))
-        assert threading.active_count() == before
+        with bucket_pairs(40), usable_cpus(2), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_DifferenceGrid, "_ends", second_top_fails)
+            with every_worker_reaped(), forks() as fork, pytest.raises(RuntimeError,
+                                                                       match="edge failed"):
+                tune_threshold(WALKS, SampleBudget(0.3))
+        assert fork.call_count == 1
 
     def test_error_in_the_helpers_sort_reaches_the_caller(self):
-        # the second bucket's buffer comes back as an array whose sort raises, on the helper
-        before = threading.active_count()
-        bundle = generate_synthetic_corpus(5, {"walk": 2}, 60)
-        calls = []
+        # the bucket that holds the largest difference, the worker's last, cannot be sorted
+        top = float(threshold_candidates(WALKS)[-1])
         gather = _DifferenceGrid._gather
 
-        def second_fails(grid, lo, hi, out):
-            calls.append(lo)
+        def last_fails(grid, lo, hi, out):
             d = gather(grid, lo, hi, out)
-            return d.view(_SortFails) if len(calls) == 2 else d
+            return d.view(_SortFails) if d.max() == top else d
 
-        with bucket_pairs(40), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_DifferenceGrid, "_gather", second_fails)
-            with pytest.raises(RuntimeError, match="sort failed"):
-                run_within(lambda: tune_threshold(bundle, SampleBudget(0.3)))
-        assert threading.active_count() == before
+        with bucket_pairs(40), usable_cpus(2), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_DifferenceGrid, "_gather", last_fails)
+            with every_worker_reaped(), forks() as fork, pytest.raises(RuntimeError,
+                                                                       match="sort failed"):
+                tune_threshold(WALKS, SampleBudget(0.3))
+        assert fork.call_count == 1
+
+    def test_share_of_a_worker_that_dies_is_passed_here(self):
+        here, gather = os.getpid(), _DifferenceGrid._gather
+
+        def dies_in_a_worker(grid, lo, hi, out):
+            if os.getpid() != here:
+                os.kill(os.getpid(), signal.SIGKILL)  # as the kernel's OOM killer would
+            return gather(grid, lo, hi, out)
+
+        with bucket_pairs(40), usable_cpus(2), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_DifferenceGrid, "_gather", dies_in_a_worker)
+            with every_worker_reaped(), forks() as fork:
+                got = tune_threshold(WALKS, SampleBudget(0.3))
+        assert fork.call_count == 1
+        assert got == bisect_candidate_grid(WALKS, 0.3)
+
+    def test_an_interrupt_here_kills_and_reaps_the_workers(self):
+        here, gather = os.getpid(), _DifferenceGrid._gather
+
+        def interrupted_here(grid, lo, hi, out):
+            # a worker outlasts the test unless killed, but neither this process nor a minute
+            deadline = time.monotonic() + 60
+            while os.getpid() != here and os.getppid() == here and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        with bucket_pairs(40), usable_cpus(8), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_DifferenceGrid, "_gather", interrupted_here)
+            with every_worker_reaped(), forks() as fork, pytest.raises(KeyboardInterrupt):
+                tune_threshold(WALKS, SampleBudget(0.3))
+        assert fork.call_count == 7
