@@ -185,7 +185,6 @@ class _DifferenceGrid:
         self._first = np.arange(1, self._u.size + 1)  # i's pairs run over [i + 1, end)
         self._end = starts + np.repeat(sizes, sizes)
         self._pairs = int(np.sum(self._end - self._first))
-        self._every = max(_MARK_PAIRS, -(-self._pairs // 2**16))
         top = max(spans)
         hi = self._ends(top)
         count = int(np.sum(hi - self._first))
@@ -194,7 +193,7 @@ class _DifferenceGrid:
         runs = [edges[p * len(edges) // procs:(p + 1) * len(edges) // procs] for p in range(procs)]
         lows = [0.0, *(run[-1] for run in runs[:-1])]  # each run's lower edge
         passes = [partial(self._pass, a, run) for a, run in zip(lows, runs)]
-        done = _fork_map(passes) if procs > 1 else [None]
+        done = _fork_map(passes) if procs > 1 else [passes[0]()]
         tops, counts = zip(*(got or run() for got, run in zip(done, passes)))
         # tops[k] is the value of mark k and ranks[k] its rank; 0.0 is rank 0
         self._tops = np.concatenate([[0.0], *tops])
@@ -222,29 +221,23 @@ class _DifferenceGrid:
         (ascending): each mark's value and the count of distinct values since the
         mark before it, which ``__init__`` sums into ranks."""
         buf = np.empty(min(_BUCKET_PAIRS, self._pairs))
+        every = max(_MARK_PAIRS, -(-self._pairs // 2**16))
         tops, counts = [np.empty(0)], [np.empty(0, dtype=np.int64)]
-        lo = self._first if a == 0.0 else self._ends(a)
-        for lo, hi, count, b in self._pieces(a, lo, edges):
-            if count > _BUCKET_PAIRS:  # too many pairs, but all of them equal b
-                tops.append(np.array([b]))
-                counts.append(np.array([1]))
-                continue
-            d = self._gather(lo, hi, buf[:count])
+        for lo, hi, count, b in self._pieces(a, edges):
+            # a piece of more pairs than a bucket holds has all of them equal b
+            d = self._gather(lo, hi, buf[:count]) if count <= _BUCKET_PAIRS else np.array([b])
             d.sort()
-            new, s = _new(d), self._every
-            m = d.size // s
-            tops.append(d[s - 1:m * s:s].copy())  # d is the buffer the next bucket reuses
-            counts.append(np.count_nonzero(new[:m * s].reshape(m, s), axis=1))
-            if m * s < d.size:
-                tops.append(d[-1:].copy())
-                counts.append(np.array([np.count_nonzero(new[m * s:])]))
+            at = np.arange(0, d.size, every)  # where each mark's stretch of d starts
+            tops.append(d[np.minimum(at + every, d.size) - 1])
+            counts.append(np.add.reduceat(_new(d), at, dtype=np.int64))
         return np.concatenate(tops), np.concatenate(counts)
 
-    def _pieces(self, a: float, lo: np.ndarray, edges: list[float]):
+    def _pieces(self, a: float, edges: list[float]):
         """Cut (a, edges[-1]] at ``edges`` (ascending), and each piece again into
         pieces of at most ``_BUCKET_PAIRS`` pairs, or of one value, in ascending
-        order; ``lo`` is ``_ends(a)``. Yield each non-empty piece as the pairs i,
-        [lo[i], hi[i]), their count and the piece's upper edge b."""
+        order; yield each non-empty one as the pairs i, [lo[i], hi[i]), their
+        count and the piece's upper edge b."""
+        lo = self._first if a == 0.0 else self._ends(a)
         todo = edges[::-1]  # upper edges; the next on top
         while todo:
             b = todo[-1]
