@@ -3,19 +3,24 @@
 The kernels run over a block: signals laid end to end on one grid of n
 points, given as knot indices on that grid (each signal starts with a knot
 at its offset), knot values, and a mask of each signal's first knot. A
-kernel maps (x, y, first, j), j[g] being the last knot at or before grid
-point g, to values that reproduce the knots; ``reconstruct_block`` then
-holds each signal's last knot value to its end (under send-on-delta sampling
-the un-fired tail provably stays in the last tolerated band, so holding
-minimizes the worst case). It builds a plan's knots, grid map and tail hold
-once and runs every kernel given over them in turn; only ``reconstruct_signal``,
-which takes raw values, retries what overflows float64. A baseline is a kernel
-over one signal's kept points; ``zelic`` adds knot plans.
+kernel maps (x, y, first, grid) to values that reproduce the knots, where
+``grid`` (a ``Grid``) gives each grid point g its knot j, the last at or
+before g (as each knot's run width, the grid map), the knot value y[j], the
+interval width h[j] and the position t = (g - x[j]) / h[j]. The cubic kernel
+and ``hermite_fill`` share one Hermite arithmetic. ``reconstruct_block``
+builds a plan's knots, its one grid and its tail hold once, runs every kernel
+given over them in turn, and holds each signal's last knot value to its end
+(under send-on-delta sampling the un-fired tail provably stays in the last
+tolerated band, so holding minimizes the worst case); only
+``reconstruct_signal``, which takes raw values, retries what overflows
+float64. A baseline is a kernel over one signal's kept points; ``zelic`` adds
+knot plans.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,31 +36,63 @@ __all__ = [
 ]
 
 
-def hold_kernel(x, y, first, j):
-    """Hold each knot value until the next knot."""
-    return y[j]
+class Grid:
+    """The grid points x[0] .. n - 1 of knots x and values y, which every kernel of one knot
+    plan reads. The grid map is ``widths``: knot k's interval holds the widths[k] points
+    x[k] .. x[k + 1] - 1 (the last knot's, those up to n - 1), so an array over the knots
+    becomes one over the grid as np.repeat(a, widths). For each point g of knot j's interval,
+    ``y`` is y[j], ``h`` the interval's width as a float and ``t`` the position
+    (g - x[j]) / h; ``h`` and ``t`` are built on first use."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, n: int):
+        self.x = x
+        self.widths = np.diff(x, append=n)
+        self.y = np.repeat(y, self.widths)
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        return np.repeat(self.widths.astype(np.float64), self.widths)
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        # g - x[j] is exact in float64, so this is the int64 quotient (g - x[j]) / h[j]
+        t = np.arange(self.x[0], self.x[0] + self.y.size, dtype=np.float64)
+        t -= np.repeat(self.x, self.widths)
+        t /= self.h
+        return t
 
 
-def nearest_kernel(x, y, first, j):
+def hold_kernel(x, y, first, grid):
+    """Hold each knot value until the next knot: the grid's own knot values."""
+    return grid.y
+
+
+def nearest_kernel(x, y, first, grid):
     """The nearest knot's value; ties go to the earlier knot."""
-    # g <= floor(midpoint) is nearer to (or tied with) the earlier knot; none follows the last
-    mid = np.append((x[:-1] + x[1:]) // 2, j.size)
-    return y[j + (np.arange(j.size) > mid[j])]
+    # an interval's first w // 2 + 1 points are nearer to (or tied with) its left knot, the rest
+    # to its right one; none follows the last knot
+    w = grid.widths
+    left = w // 2 + 1
+    left[-1] = w[-1]
+    counts = np.column_stack([left, w - left]).ravel()
+    return np.repeat(np.column_stack([y, np.append(y[1:], y[-1])]).ravel(), counts)
 
 
-def chord_kernel(x, y, first, j):
+def chord_kernel(x, y, first, grid):
     """Straight lines between consecutive knots."""
-    t = (np.arange(j.size) - x[j]) / np.diff(x, append=j.size)[j]
-    out = y[j] + np.diff(y, append=y[-1])[j] * t
+    out = np.repeat(np.diff(y, append=y[-1]), grid.widths)
+    out *= grid.t
+    out += grid.y
     out[x] = y
     return out
 
 
-def cubic_kernel(x, y, first, j):
+def cubic_kernel(x, y, first, grid):
     """Shape-preserving piecewise cubic; a signal with one knot is held. The
     cubic also spans each held tail, which the tail hold then overwrites."""
-    out = np.empty(j.size, dtype=np.float64)
-    hermite_fill(out, x, y, fritsch_carlson_slopes(x, y, first))
+    out = np.empty(grid.y.size, dtype=np.float64)
+    _hermite(out[: x[-1]], grid, y, fritsch_carlson_slopes(x, y, first))
+    out[x] = y
     return out
 
 
@@ -68,18 +105,28 @@ def fritsch_carlson_slopes(x: np.ndarray, y: np.ndarray, first: np.ndarray) -> n
     cannot overshoot. Two knots get their secant, a lone knot 0. ``first``
     marks each signal's first knot in a block.
     """
-    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     last = np.append(first[1:], True)
-    h = np.diff(x)
-    d = np.diff(y) / h
-    m = np.zeros(x.size, dtype=np.float64)
+    h = np.diff(np.asarray(x, dtype=np.float64))
+    d = np.diff(y)
+    d /= h
+    m = np.zeros(y.size, dtype=np.float64)
     d0, d1 = d[:-1], d[1:]
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
+    # the interior mean (w1 + w2) / (w1 / d0 + w2 / d1), w1 = 2 h1 + h0 and w2 = h1 + 2 h0,
+    # built in place: a block of dense knots holds fewer knot-sized temporaries at once
+    w1 = 2.0 * h[1:]
+    w1 += h[:-1]
+    w2 = 2.0 * h[:-1]
+    w2 += h[1:]
     same_sign = (d0 != 0.0) & (d1 != 0.0) & ((d0 > 0.0) == (d1 > 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        m[1:-1] = np.where(same_sign, (w1 + w2) / (w1 / d0 + w2 / d1), 0.0)
+        mean = w1 + w2
+        w1 /= d0
+        w2 /= d1
+        w1 += w2
+        mean /= w1
+    np.copyto(m[1:-1], mean, where=same_sign)
+    del w1, w2, mean
     # both ends of every signal of three or more knots, from the near and far gap
     starts = np.flatnonzero(first[:-2] & ~last[:-2] & ~last[1:-1])
     ends = np.flatnonzero(last[2:] & ~first[2:] & ~first[1:-1]) + 2
@@ -103,48 +150,57 @@ def hermite_fill(out: np.ndarray, x: np.ndarray, y: np.ndarray, m: np.ndarray) -
     point is ((h00 y_k + (h h10) m_k) + h01 y_k+1) + (h h11) m_k+1, summed in place.
     """
     x = np.asarray(x, dtype=np.int64)
-    lo, hi = int(x[0]), int(x[-1])
-    acc = out[lo:hi]
-    dx = np.diff(x)
-    j = np.repeat(np.arange(dx.size), dx)
-    h = dx.astype(np.float64)  # per interval, gathered where used
-    t = (np.arange(lo, hi) - x[j]) / h[j]
-    w = np.square(1.0 - t)
-    np.multiply(1.0 + 2.0 * t, w, out=acc)  # h00
-    acc *= y[j]
-    w *= t  # h10
-    w *= h[j]
-    w *= m[j]
-    acc += w
-    np.square(t, out=w)  # t^2
-    h01 = np.subtract(3.0, 2.0 * t)
-    h01 *= w
-    h01 *= y[1:][j]  # y[1:][j] is y[j + 1] without the index temporary
-    acc += h01
-    del h01
-    t -= 1.0
-    t *= w  # h11
-    t *= h[j]
-    t *= m[1:][j]
-    acc += t
+    _hermite(out[x[0] : x[-1]], Grid(x, y, x[-1]), y, m)
     out[x] = y
 
 
-def reconstruct_block(plan, kernels, x, y, first, n: int, params=None):
+def _hermite(acc: np.ndarray, grid: Grid, y: np.ndarray, m: np.ndarray) -> None:
+    """The cubic Hermite interpolant of knot values y and slopes m on the first acc.size
+    points of ``grid``, which end at the last knot, summed into acc as ``hermite_fill`` says."""
+    t, h, w = grid.t[: acc.size], grid.h[: acc.size], grid.widths[: y.size - 1]
+    sq = np.subtract(1.0, t)
+    np.square(sq, out=sq)
+    np.multiply(t, 2.0, out=acc)
+    acc += 1.0
+    acc *= sq  # h00
+    acc *= grid.y[: acc.size]
+    sq *= t  # h10
+    sq *= h
+    sq *= np.repeat(m[:-1], w)
+    acc += sq
+    np.square(t, out=sq)  # t^2
+    p = np.multiply(t, 2.0)
+    np.subtract(3.0, p, out=p)
+    p *= sq  # h01
+    p *= np.repeat(y[1:], w)
+    acc += p
+    np.subtract(t, 1.0, out=p)
+    p *= sq  # h11
+    p *= h
+    p *= np.repeat(m[1:], w)
+    acc += p
+
+
+def reconstruct_block(plan, kernels, x, y, first, n: int, params=None, grid=None):
     """Each kernel's n grid values for a block, in turn: the kernel over the
     knots ``plan`` makes, (x, y, first, params) -> (x, y, first), or over the
     kept points alone, then each signal's last knot value held to its end.
-    The plan, its grid map and its tail hold are built once for all kernels.
+    The plan, its grid and its tail hold are built once for all kernels; with
+    no plan, ``grid`` may be the kept points' grid, built by the caller.
+
+    The hold kernel's output is the grid's own ``y``: write to no output
+    before the last kernel has run.
     """
     # Precondition: no kernel term overflows. The scorer's values lie in [0, 1] and its threshold
     # is at most about 1, so planted knots lie in [-0.5, 1.5]; raw values go via reconstruct_signal.
     if plan is not None:
         x, y, first = plan(x, y, first, params)
-    j = np.repeat(np.arange(x.size), np.diff(x, append=n))
-    tail = np.append(first[1:], True)[j]
-    held = y[j[tail]]
+    if grid is None:
+        grid = Grid(x, y, n)
+    tail = np.repeat(np.append(first[1:], True), grid.widths)
+    held = grid.y[tail]
     for kernel in kernels:
-        out = kernel(x, y, first, j)
+        out = kernel(x, y, first, grid)
         out[tail] = held
         yield out
         del out  # the consumer holds the only reference now; let it go before the next kernel

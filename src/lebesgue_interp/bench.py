@@ -22,13 +22,21 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .baselines import chord_kernel, cubic_kernel, hold_kernel, nearest_kernel, reconstruct_block
+from .baselines import (
+    Grid,
+    chord_kernel,
+    cubic_kernel,
+    hold_kernel,
+    nearest_kernel,
+    reconstruct_block,
+)
 from .core import DatasetBundle, ReconstructionParams, _fork_map, _fork_procs, _normalize
 from .errors import InvalidInputError, ParseError
 from .metrics import (
     DatasetResult,
     MethodReport,
     MethodScore,
+    _runs,
     aggregate_report,
     mean_abruptness,
     rmse_per_signal,
@@ -318,7 +326,7 @@ def _score_sampled(values: np.ndarray, offsets: np.ndarray, kept: np.ndarray,
     each skipped point strictly inside the band of ``params.threshold`` around the last kept."""
     table: dict[str, list[float]] = {m: [] for m in methods}
     by_plan: dict[Callable | None, list[str]] = {}
-    for m in methods:
+    for m in sorted(methods, key=lambda m: METHODS[m][1] is not None):  # the plain ones first
         by_plan.setdefault(METHODS[m][1], []).append(m)
     knots = np.searchsorted(kept, offsets)  # signal i keeps kept[knots[i]:knots[i + 1]]
     first = np.zeros(kept.size, dtype=bool)
@@ -326,18 +334,25 @@ def _score_sampled(values: np.ndarray, offsets: np.ndarray, kept: np.ndarray,
     for lo, hi in signal_blocks(np.diff(offsets).tolist()):
         base, n = offsets[lo], int(offsets[hi] - offsets[lo])
         v, bounds = values[base : offsets[hi]], offsets[lo : hi + 1] - base
+        runs = list(_runs(np.diff(bounds)))
         x, f = kept[knots[lo] : knots[hi]] - base, first[knots[lo] : knots[hi]]
         y = v[x]
+        grid = Grid(x, y, n)  # the kept points' grid: the band check and the plain methods read it
         if band:
-            outside = np.abs(v - np.repeat(y, np.diff(x, append=n))) >= params.threshold
+            outside = np.subtract(v, grid.y)
+            np.abs(outside, out=outside)
+            outside = outside >= params.threshold
             outside[x] = False
             if outside.any():
                 i = lo + int(np.searchsorted(bounds, outside.argmax(), side="right")) - 1
                 raise AssertionError(f"signal {i} has a skipped point outside the band "
                                      f"at threshold {params.threshold!r}")
+            del outside
         for plan, group in by_plan.items():
             kernels = [METHODS[m][2] for m in group]
-            outs = reconstruct_block(plan, kernels, x, y, f, n, params)
+            outs = reconstruct_block(plan, kernels, x, y, f, n, params,
+                                     grid if plan is None else None)
+            grid = None  # the plain methods, which come first, are its last readers
             for m in group:
                 out = next(outs)
                 off = np.flatnonzero(out[x] != y)
@@ -346,7 +361,7 @@ def _score_sampled(values: np.ndarray, offsets: np.ndarray, kept: np.ndarray,
                     raise AssertionError(
                         f"method {m!r} failed the interpolation condition on signal {i}"
                     )
-                table[m] += rmse_per_signal(v, out, bounds)
+                table[m] += rmse_per_signal(v, out, bounds, runs)
                 del out  # scored: free it before the next kernel runs
     return [MethodScore(prefix + METHODS[m][0], tuple(table[m])) for m in methods]
 

@@ -39,14 +39,16 @@ def rmse(original: np.ndarray, reconstructed: np.ndarray) -> float:
 
 
 def rmse_per_signal(
-    original: np.ndarray, reconstructed: np.ndarray, bounds: Sequence[int]
+    original: np.ndarray, reconstructed: np.ndarray, bounds: Sequence[int], runs=None
 ) -> list[float]:
     """The RMSE of each signal of a block, signal i being [bounds[i], bounds[i + 1]), each run of
-    equal-length signals reduced as the rows of one 2-D array; no overflow retry ([0, 1] values)."""
+    equal-length signals reduced as the rows of one 2-D array; no overflow retry ([0, 1] values).
+    ``runs`` are those runs as ``_runs(np.diff(bounds))`` cuts them, when the caller has them."""
     lengths = np.diff(bounds)
-    sq = (original - reconstructed) ** 2
+    sq = np.subtract(original, reconstructed)
+    np.square(sq, out=sq)
     means = np.empty(lengths.size)
-    for lo, hi in _runs(lengths):
+    for lo, hi in _runs(lengths) if runs is None else runs:
         rows = sq[bounds[lo] : bounds[hi]].reshape(hi - lo, lengths[lo])
         means[lo:hi] = np.add.reduce(rows, axis=1) / lengths[lo]  # np.mean's own sum and division
     return np.sqrt(means).tolist()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from lebesgue_interp import (
 )
 from lebesgue_interp import baselines
 from lebesgue_interp.baselines import fritsch_carlson_slopes
-from lebesgue_interp.zelic import TURNS
+from lebesgue_interp.zelic import ANCHORS, TURNS
 from conftest import PER_SIGNAL, make_sampled
 from oracles import hermite_closed_form, linear_pointwise, nearest_pointwise, points, zoh_pointwise
 
@@ -303,3 +305,41 @@ class TestOverflowRetry:
         for method, rec in PER_SIGNAL.items():
             want = rec(s, params) * scale
             assert rec(scaled, scaled_params).tobytes() == want.tobytes(), method
+
+
+class TestSharedGrid:
+    """Every kernel of a knot plan reads the one grid ``reconstruct_block`` builds for it, so a
+    kernel that wrote to the grid (its positions t, its knot values y[j]) would change the
+    kernels that run after it, or the hold output, which is the grid's own y[j]."""
+
+    @pytest.mark.parametrize("plan", [None, ANCHORS, TURNS])
+    def test_every_kernel_order_gives_each_kernel_alone(self, plan):
+        # one-knot and two-knot signals, a signal of one point, held tails and random knots
+        rng = np.random.default_rng(5)
+        signals = [make_sampled([0], [0.4], 3), make_sampled([0, 2], [0.1, 0.9], 7),
+                   make_sampled([0, 5, 10, 14], [0.9, 0.1, 1.0, 0.0], 17),
+                   make_sampled([0], [0.7], 1), make_sampled([0, 1, 4], [0.5, 0.2, 0.7], 9)]
+        signals += [random_knots(rng) for _ in range(6)]
+        offsets = np.cumsum([0] + [s.source_length for s in signals])
+        x = np.concatenate([s.indices + o for s, o in zip(signals, offsets)])
+        y = np.concatenate([s.values for s in signals])
+        first = np.isin(x, offsets)
+        n = int(offsets[-1])
+        params = ReconstructionParams(0.05, 1.15, 1, 1)
+        if plan is not None:  # the plan plants knots in this block
+            assert plan(x, y, first, params)[0].size > x.size
+        kernels = [baselines.hold_kernel, baselines.nearest_kernel, baselines.chord_kernel,
+                   baselines.cubic_kernel]
+        alone = {}
+        for kernel in kernels:
+            (out,) = baselines.reconstruct_block(plan, [kernel], x, y, first, n, params)
+            alone[kernel] = out.tobytes()
+        for order in itertools.permutations(kernels):
+            # each output as it is yielded, and all of them once the last kernel has run
+            outs = []
+            for kernel, out in zip(order, baselines.reconstruct_block(plan, order, x, y, first, n,
+                                                                      params)):
+                assert out.tobytes() == alone[kernel], [k.__name__ for k in order]
+                outs.append(out)
+            for kernel, out in zip(order, outs):
+                assert out.tobytes() == alone[kernel], [k.__name__ for k in order]

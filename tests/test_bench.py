@@ -571,6 +571,43 @@ class TestBlockedScoring:
                 tracemalloc.stop()
         assert peak <= 14 * 8 * metrics.BLOCK_POINTS
 
+    @pytest.mark.parametrize("threshold", [0.0, 0.01])
+    def test_one_block_peak_memory_with_dense_knots(self, threshold):
+        # as above, but the kept points, the planned knots and the slope temporaries
+        # are block-sized too
+        bundle = generate_synthetic_corpus(5, {"walk": metrics.BLOCK_POINTS // 512}, length=512)
+        flat = _flat(bundle.signals, [lebesgue_sample(ts, threshold) for ts in bundle.signals])
+        params = ReconstructionParams(threshold)
+        for _ in range(2):  # the first call's allocations are not the scorer's
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                bench._score_sampled(*flat, params, tuple(METHODS), "", True)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak <= 16 * 8 * metrics.BLOCK_POINTS
+
+    @pytest.mark.parametrize("riemann", [False, True])
+    def test_method_order_does_not_change_scores(self, riemann):
+        # the plain methods share the kept points' grid, each plan's methods that plan's grid:
+        # no order of the methods may change a score
+        rng = np.random.default_rng(8)
+        specs = [("walk", 1), ("flat", 30), ("step", 40), ("walk", 300), ("walk", 5)] * 3
+        signals = [_shaped(rng, shape, n) for shape, n in specs]
+        sampled = [riemann_sample(ts, SampleBudget(0.15)) if riemann
+                   else lebesgue_sample(ts, 0.05) for ts in signals]
+        params = ReconstructionParams(0.05, 1.15, 1, 1)
+        flat = _flat(signals, sampled)
+        want = {s.method_name: np.array(s.per_signal_rmse).tobytes()
+                for s in bench._score_sampled(*flat, params, tuple(METHODS), "", not riemann)}
+        for methods in (tuple(reversed(METHODS)), ("zechipc", "zoh", "zeli", "pchip", "nearest"),
+                        ("linear", "zelic", "zoh")):
+            got = bench._score_sampled(*flat, params, methods, "", not riemann)
+            assert [s.method_name for s in got] == [METHODS[m][0] for m in methods]
+            for s in got:
+                assert np.array(s.per_signal_rmse).tobytes() == want[s.method_name], methods
+
     @pytest.mark.parametrize("mode", list(ExperimentMode))
     def test_reports_do_not_depend_on_block_size(self, tmp_path, mode):
         bundles = [generate_synthetic_corpus(5, {"walk": 6, "sine": 6, "triangle": 6}, 400)]
