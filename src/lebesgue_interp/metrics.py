@@ -39,7 +39,10 @@ def rmse(original: np.ndarray, reconstructed: np.ndarray) -> float:
 
 
 def rmse_per_signal(
-    original: np.ndarray, reconstructed: np.ndarray, bounds: Sequence[int], runs=None
+    original: np.ndarray,
+    reconstructed: np.ndarray,
+    bounds: Sequence[int],
+    runs: Sequence[tuple[int, int]] | None = None,
 ) -> list[float]:
     """The RMSE of each signal of a block, signal i being [bounds[i], bounds[i + 1]), each run of
     equal-length signals reduced as the rows of one 2-D array; no overflow retry ([0, 1] values).
