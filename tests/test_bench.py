@@ -555,26 +555,9 @@ class TestBlockedScoring:
         peak(50)  # warm-up: first-call allocations are not the scorer's
         assert peak(400) <= 1.5 * peak(50)
 
-    def test_one_block_peak_memory(self):
-        # one full block of walks: each plan's knots, grid map and tail hold,
-        # one kernel output at a time and the kernel's own temporaries
-        bundle = generate_synthetic_corpus(5, {"walk": metrics.BLOCK_POINTS // 512}, length=512)
-        flat = _flat(bundle.signals, [lebesgue_sample(ts, 0.05) for ts in bundle.signals])
-        params = ReconstructionParams(0.05)
-        for _ in range(2):  # the first call's allocations are not the scorer's
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                bench._score_sampled(*flat, params, tuple(METHODS), "", True)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-        assert peak <= 14 * 8 * metrics.BLOCK_POINTS
-
-    @pytest.mark.parametrize("threshold", [0.0, 0.01])
-    def test_one_block_peak_memory_with_dense_knots(self, threshold):
-        # as above, but the kept points, the planned knots and the slope temporaries
-        # are block-sized too
+    @staticmethod
+    def _one_block_peak(threshold):
+        """The scorer's peak traced bytes on one full block of walks sampled at ``threshold``."""
         bundle = generate_synthetic_corpus(5, {"walk": metrics.BLOCK_POINTS // 512}, length=512)
         flat = _flat(bundle.signals, [lebesgue_sample(ts, threshold) for ts in bundle.signals])
         params = ReconstructionParams(threshold)
@@ -586,7 +569,18 @@ class TestBlockedScoring:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-        assert peak <= 16 * 8 * metrics.BLOCK_POINTS
+        return peak
+
+    def test_one_block_peak_memory(self):
+        # one full block of walks: each plan's knots, grid and tail hold,
+        # one kernel output at a time and the kernel's own temporaries
+        assert self._one_block_peak(0.05) <= 14 * 8 * metrics.BLOCK_POINTS
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.01])
+    def test_one_block_peak_memory_with_dense_knots(self, threshold):
+        # as above, but the kept points, the planned knots and the slope temporaries
+        # are block-sized too
+        assert self._one_block_peak(threshold) <= 16 * 8 * metrics.BLOCK_POINTS
 
     @pytest.mark.parametrize("riemann", [False, True])
     def test_method_order_does_not_change_scores(self, riemann):
