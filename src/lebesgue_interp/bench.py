@@ -16,7 +16,6 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -30,7 +29,7 @@ from .baselines import (
     nearest_kernel,
     reconstruct_block,
 )
-from .core import DatasetBundle, ReconstructionParams, _fork_map, _fork_procs, _normalize
+from .core import DatasetBundle, ReconstructionParams, _fork_map, _normalize
 from .errors import InvalidInputError, ParseError
 from .metrics import (
     DatasetResult,
@@ -414,49 +413,12 @@ def run_benchmark(bundles: Sequence[DatasetBundle], config: ExperimentConfig) ->
 
 def _run_datasets(loaders: Sequence[Callable[[], DatasetBundle]], weights: Sequence[int],
                   config: ExperimentConfig) -> MethodReport:
-    """The report of ``run_experiment(load(), config)`` for each loader, in loader order.
-
-    Where ``_fork_procs`` allows two or more processes, the datasets are shared out over
-    them (``_shares``), and each share runs on its own process (``_fork_map``). Every
-    dataset without a result from them, all of them otherwise, runs here in dataset order,
-    so a run that fails raises what the in-order run raises.
-    """
-    procs = _fork_procs(len(loaders))
-    results = {}
-    if procs > 1:
-        shares = _shares(weights, procs)
-        for got in _fork_map([partial(_run_share, share, loaders, config) for share in shares]):
-            results.update(got or {})
-    per_dataset = [results[i] if i in results else run_experiment(load(), config)
-                   for i, load in enumerate(loaders)]
-    return aggregate_report(per_dataset, config=config.echo())
-
-
-def _shares(weights: Sequence[int], procs: int) -> list[list[int]]:
-    """Dataset indices split over ``procs`` processes: each dataset goes, heaviest first by
-    ``weights``, to the least-loaded process, and each share is in dataset order, so each
-    process loads and holds only its own datasets."""
-    shares, totals = [[] for _ in range(procs)], [0] * procs
-    for i in sorted(range(len(weights)), key=lambda i: -weights[i]):
-        p = min(range(procs), key=lambda p: (totals[p], len(shares[p])))
-        shares[p].append(i)
-        totals[p] += weights[i]
-    for share in shares:
-        share.sort()
-    return shares
-
-
-def _run_share(share: Sequence[int], loaders: Sequence[Callable[[], DatasetBundle]],
-               config: ExperimentConfig) -> dict[int, DatasetResult]:
-    """The results of the datasets ``share`` names, in order, up to the first that raises:
-    that one raises again when it runs in dataset order."""
-    results = {}
-    for i in share:
-        try:
-            results[i] = run_experiment(loaders[i](), config)
-        except Exception:
-            break
-    return results
+    """The report of ``run_experiment(load(), config)`` for each loader, in loader order,
+    run by ``core._fork_map`` over forked processes by ``weights`` where it can: each
+    process loads and holds only its own datasets, and a run that fails raises what the
+    in-order run raises."""
+    jobs = [lambda load=load: run_experiment(load(), config) for load in loaders]
+    return aggregate_report(_fork_map(jobs, weights), config=config.echo())
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +454,18 @@ def _json_text(obj, pad: str = "") -> str:
     return f"{start}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{end}"
 
 
+def _csv_names(datasets: Sequence[str]) -> list[str]:
+    """Each dataset's ``<dataset>_rmse.csv`` file name, every character but a letter, digit,
+    ``-`` or ``_`` made ``_``; two datasets whose names would collide raise."""
+    seen: dict[str, str] = {}  # file name -> dataset
+    for d in datasets:
+        name = "".join(c if c.isalnum() or c in "-_" else "_" for c in d) + "_rmse.csv"
+        if name in seen:
+            raise InvalidInputError(f"datasets {seen[name]!r} and {d!r} would both write {name}")
+        seen[name] = d
+    return list(seen)
+
+
 def emit_report(report: MethodReport, out_dir: str | os.PathLike) -> list[Path]:
     """Write the per-dataset tables, the summary and the long-format CSV.
 
@@ -507,11 +481,7 @@ def emit_report(report: MethodReport, out_dir: str | os.PathLike) -> list[Path]:
     out = Path(out_dir)
     methods = list(report.method_names)
     files: dict[str, list[list]] = {}  # CSV file name -> rows
-    for d in report.datasets:
-        name = "".join(c if c.isalnum() or c in "-_" else "_" for c in d.dataset) + "_rmse.csv"
-        if name in files:
-            first = files[name][1][0]
-            raise InvalidInputError(f"datasets {first!r} and {d.dataset!r} would both write {name}")
+    for name, d in zip(_csv_names([d.dataset for d in report.datasets]), report.datasets):
         files[name] = [["dataset", *methods],
                        [d.dataset, *(_fmt(d.score_for(m).mean_rmse) for m in methods)]]
 

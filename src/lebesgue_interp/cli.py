@@ -18,6 +18,7 @@ from .bench import (
     METHODS,
     ExperimentConfig,
     ExperimentMode,
+    _csv_names,
     _run_datasets,
     _ucr_split,
     emit_report,
@@ -171,8 +172,10 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
     )
     if args.data_dir is not None:
-        # each pair is parsed by the process that scores it, and weighs its file bytes
+        # each pair is parsed by the process that scores it, and weighs its file bytes; two
+        # names whose CSV files would collide fail before any work
         pairs = _discover_datasets(Path(args.data_dir))
+        _csv_names([_ucr_split(train)[0] for train, _ in pairs])
         loaders = [functools.partial(load_ucr_dataset, *pair) for pair in pairs]
         weights = [sum(p.stat().st_size for p in pair if p is not None) for pair in pairs]
         report = _run_datasets(loaders, weights, config)

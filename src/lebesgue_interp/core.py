@@ -1,7 +1,10 @@
-"""Shared domain types, normalization, and the forked runs of bench and tuning.
+"""Shared domain types, normalization, and the one rule for forked runs.
 
 The time axis is always the integer sample index 0..n-1; values are float64,
 read-only after construction, and safe to share across threads.
+
+``_fork_map`` is the one rule that shares jobs out over forked processes, stops
+a share at its first error and reruns missing jobs, for bench and tuning alike.
 """
 
 from __future__ import annotations
@@ -208,7 +211,7 @@ def normalize_unit_interval(series: TimeSeries) -> TimeSeries:
 _FORK_WARNING = (r"This process \(pid=\d+\) is multi-threaded, "
                  r"use of fork\(\) may lead to deadlocks in the child\.")
 
-# True in a process while it runs ``_fork_map``, and in every worker forked there: a fork
+# True in a process while ``_fork_map`` has workers, and in every worker forked there: a fork
 # is a property of the whole process, so this is module state, and it keeps forks from nesting
 _forking = False
 
@@ -223,51 +226,73 @@ def _fork_procs(jobs: int) -> int:
     return max(1, min(jobs, len(affinity(0))))
 
 
-def _fork_map(jobs: Sequence[Callable[[], object]]) -> list:
-    """Each job's result, in job order: ``jobs[0]`` runs in this process and every other job
-    in a worker forked before it starts. A worker pickles its result into a pipe and ends
-    with ``os._exit``, with status 0 only once every byte is written; the result of a worker
-    that ends in any other way is None, for the caller to run that job itself. If this
-    process raises, every worker is killed. Every worker is reaped before this returns."""
+def _fork_map(jobs: Sequence[Callable[[], object]], weights: Sequence[float]) -> list:
+    """Each job's result, in job order. Over ``_fork_procs`` processes, each job goes,
+    heaviest first by ``weights``, to the least-loaded one; the heaviest job's share runs
+    here and every other in a worker forked before any job starts, each in job order up to
+    its first job that raises an ``Exception``. A worker pickles its results into a pipe and
+    ends with status 0 only once every byte is written. Then every job without a result, on
+    one process every job, runs here in job order, so an error raises as in the in-order
+    run; if this process raises anything else, every worker is killed. Every worker is
+    reaped before this returns."""
     global _forking
-    workers = []  # each worker's pid and the read end of its pipe
-    _forking = True
-    try:
-        for job in jobs[1:]:
-            read, write = os.pipe()
-            # Safe: no other Python thread is alive, a worker makes no BLAS call, and
-            # OpenBLAS re-initialises its threads after a fork.
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                _work(job, write)
-            os.close(write)
-            workers.append((pid, open(read, "rb")))
-        results = [jobs[0]()]
-        while workers:
-            pid, fh = workers[0]
-            data = fh.read()
-            fh.close()
-            status = os.waitpid(pid, 0)[1]
-            del workers[0]
-            results.append(pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else None)
-    finally:
-        _forking = False
-        for pid, fh in workers:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            fh.close()
+    procs, done = _fork_procs(len(jobs)), {}
+    if procs > 1:
+        shares, totals = [[] for _ in range(procs)], [0] * procs
+        for i in sorted(range(len(jobs)), key=lambda i: -weights[i]):
+            p = min(range(procs), key=lambda p: (totals[p], len(shares[p])))
+            shares[p].append(i)
+            totals[p] += weights[i]
+        workers = []  # each worker's pid and the read end of its pipe
+        _forking = True
+        try:
+            for share in shares[1:]:
+                read, write = os.pipe()
+                # Safe: no other Python thread is alive, a worker makes no BLAS call, and
+                # OpenBLAS re-initialises its threads after a fork.
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _work(jobs, share, write)
+                os.close(write)
+                workers.append((pid, open(read, "rb")))
+            done = _run_share(jobs, shares[0])
+            while workers:
+                pid, fh = workers[0]
+                data = fh.read()
+                fh.close()
+                status = os.waitpid(pid, 0)[1]
+                del workers[0]
+                done.update(pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else {})
+        finally:
+            _forking = False
+            for pid, fh in workers:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                fh.close()
+    return [done[i] if i in done else job() for i, job in enumerate(jobs)]
+
+
+def _run_share(jobs: Sequence[Callable[[], object]], share: list[int]) -> dict:
+    """The results of the jobs ``share`` names, by index, in order up to the first that
+    raises an ``Exception``: that one raises again when it runs in job order."""
+    results = {}
+    for i in sorted(share):
+        try:
+            results[i] = jobs[i]()
+        except Exception:
+            break
     return results
 
 
-def _work(job: Callable[[], object], write: int) -> NoReturn:
-    """A forked worker: pickle ``job()`` into the pipe ``write`` and end the process, with
-    status 0 only when every byte was written. It never returns."""
+def _work(jobs: Sequence[Callable[[], object]], share: list[int], write: int) -> NoReturn:
+    """A forked worker: pickle ``_run_share(jobs, share)`` into the pipe ``write`` and end
+    the process, with status 0 only when every byte was written. It never returns."""
     code = 1
     try:
         with open(write, "wb") as fh:
-            pickle.dump(job(), fh, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(_run_share(jobs, share), fh, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)

@@ -162,9 +162,10 @@ class _DifferenceGrid:
     ``_MARK_PAIRS`` or pairs / 2**16 if that is more.
 
     The pass is split by value range: the first cut's edges, spaced by pair
-    count, are shared out in contiguous runs over up to one process per usable
-    CPU (``core._fork_procs``), and each process passes its run alone
-    (``_pass``). A worker that fails has its run passed again here, so an
+    count, are cut into contiguous runs, one per usable CPU at most
+    (``core._fork_procs``), and ``core._fork_map`` shares the runs out, each
+    weighed by its edge count, so each process passes its run alone
+    (``_pass``). A run without a result is passed again here, in order, so an
     error raises as in the one-process pass. A rank between two marks then
     rebuilds the pairs between them, one slice of at most about s pairs plus
     the copies of its upper mark, on this process, so memory is
@@ -185,16 +186,14 @@ class _DifferenceGrid:
         self._first = np.arange(1, self._u.size + 1)  # i's pairs run over [i + 1, end)
         self._end = starts + np.repeat(sizes, sizes)
         self._pairs = int(np.sum(self._end - self._first))
-        top = max(spans)
-        hi = self._ends(top)
-        count = int(np.sum(hi - self._first))
-        edges = [*(self._cuts(self._first, hi, count, top) if count > _BUCKET_PAIRS else []), top]
+        top = max(spans)  # rounding is monotone, so no pair's difference exceeds it
+        edges = [*(self._cuts(self._first, self._end, self._pairs, top)
+                   if self._pairs > _BUCKET_PAIRS else []), top]
         procs = _fork_procs(len(edges))
         runs = [edges[p * len(edges) // procs:(p + 1) * len(edges) // procs] for p in range(procs)]
         lows = [0.0, *(run[-1] for run in runs[:-1])]  # each run's lower edge
         passes = [partial(self._pass, a, run) for a, run in zip(lows, runs)]
-        done = _fork_map(passes) if procs > 1 else [passes[0]()]
-        tops, counts = zip(*(got or run() for got, run in zip(done, passes)))
+        tops, counts = zip(*_fork_map(passes, list(map(len, runs))))
         # tops[k] is the value of mark k and ranks[k] its rank; 0.0 is rank 0
         self._tops = np.concatenate([[0.0], *tops])
         self._ranks = np.cumsum(np.concatenate([[0], *counts]))

@@ -424,6 +424,22 @@ class TestBenchCommand:
         assert "datasets 'Foo' and 'Foo' would both write Foo_rmse.csv" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_file_name_collision_fails_before_any_dataset_loads(self, tmp_path, capsys,
+                                                               monkeypatch):
+        data, loads = tmp_path / "data", []
+        data.mkdir()
+        for name in ("a.b", "a_b"):
+            (data / f"{name}_TRAIN.tsv").write_text("1\t0.1\t0.4\t0.2\t0.9\n")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # every load runs here
+        monkeypatch.setattr(cli, "load_ucr_dataset",
+                            lambda *pair: loads.append(pair) or load_ucr_dataset(*pair))
+        out = tmp_path / "rep"
+        assert main(["bench", "--data-dir", str(data), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: datasets 'a.b' and 'a_b' would both write a_b_rmse.csv\n")
+        assert loads == []
+        assert not out.exists()
+
     def test_comma_separated_row_longer_than_a_csv_field(self, tmp_path, capsys):
         # one 15,000-value field: more than csv.reader's 131,072-character limit
         (tmp_path / "D").mkdir()

@@ -1,4 +1,6 @@
+import functools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from lebesgue_interp import (
     lebesgue_sample,
     normalize_unit_interval,
 )
-from lebesgue_interp.core import _normalize
+from lebesgue_interp.core import _fork_map, _normalize
 from lebesgue_interp.sampling import _kept_fraction
 from oracles import normalize_scalar, points
 
@@ -201,3 +203,84 @@ class TestEqualLengthCheck:
     def test_empty_bundle_rejected(self):
         with pytest.raises(InvalidInputError):
             DatasetBundle("d", ())
+
+
+WEIGHTS = [3, 9, 1, 4, 4, 2, 7, 5]  # job 1 is the heaviest
+
+
+def _logged_jobs(log, fails):
+    """One job per weight: job i appends its pid and i to ``log``, a file the workers
+    inherit, raises where ``fails(i)`` is true and returns 10 * i."""
+    def job(i):
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()} {i}\n")
+        if fails(i):
+            raise ValueError(f"job {i} failed")
+        return 10 * i
+
+    return [functools.partial(job, i) for i in range(len(WEIGHTS))]
+
+
+def _runs(log):
+    """Each process's pid -> the jobs it ran, in the order it ran them."""
+    runs = {}
+    for line in log.read_text().splitlines():
+        pid, i = map(int, line.split())
+        runs.setdefault(pid, []).append(i)
+    return runs
+
+
+def _fork_map_on(cpus, jobs, weights, monkeypatch):
+    """``_fork_map(jobs, weights)`` with ``cpus`` usable CPUs; every worker is reaped."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    try:
+        return _fork_map(jobs, weights)
+    finally:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+class TestForkMap:
+    """One process per usable CPU, at most one per job, each running its share of the jobs
+    in job order: no job runs twice or is lost, whatever the CPU count."""
+
+    def test_every_job_runs_once_and_returns_in_job_order(self, tmp_path, monkeypatch, cpus):
+        log = tmp_path / "log"
+        got = _fork_map_on(cpus, _logged_jobs(log, lambda i: False), WEIGHTS, monkeypatch)
+        assert got == [10 * i for i in range(len(WEIGHTS))]
+        runs = _runs(log)
+        assert len(runs) == min(cpus, len(WEIGHTS))
+        assert sorted(i for ran in runs.values() for i in ran) == list(range(len(WEIGHTS)))
+        assert all(ran == sorted(ran) for ran in runs.values())
+
+    def test_the_heaviest_job_runs_here(self, tmp_path, monkeypatch, cpus):
+        log, weights = tmp_path / "log", WEIGHTS[::-1]  # job 6 is the heaviest
+        _fork_map_on(cpus, _logged_jobs(log, lambda i: False), weights, monkeypatch)
+        assert 6 in _runs(log)[os.getpid()]
+
+    def test_the_rest_of_a_failed_share_runs_here(self, tmp_path, monkeypatch, cpus):
+        # a worker's second job raises there, and only there
+        log, here, seen = tmp_path / "log", os.getpid(), []
+
+        def second_in_a_worker_fails(i):
+            if os.getpid() != here:
+                seen.append(i)  # each worker starts from this process's empty list
+            return len(seen) == 2
+
+        jobs = _logged_jobs(log, second_in_a_worker_fails)
+        got = _fork_map_on(cpus, jobs, WEIGHTS, monkeypatch)
+        assert got == [10 * i for i in range(len(WEIGHTS))]
+        runs = _runs(log)
+        mine = runs.pop(here)
+        assert all(len(ran) <= 2 for ran in runs.values())
+        done_there = {ran[0] for ran in runs.values()}
+        assert sorted(mine) == sorted(set(range(len(WEIGHTS))) - done_there)
+        assert all(ran[1] in mine for ran in runs.values() if len(ran) == 2)
+        if cpus == 2:  # the worker's share holds several jobs, so one of them failed
+            assert any(len(ran) == 2 for ran in runs.values())
+
+    def test_the_first_failing_job_in_job_order_raises(self, tmp_path, monkeypatch, cpus):
+        jobs = _logged_jobs(tmp_path / "log", lambda i: i in (2, 5))
+        with pytest.raises(ValueError, match="job 2 failed"):
+            _fork_map_on(cpus, jobs, WEIGHTS, monkeypatch)

@@ -594,6 +594,20 @@ class TestGridPipeline:
             _DifferenceGrid(LATTICE)
         assert ["sorted", "one", "sorted"] in [kinds[i:i + 3] for i in range(len(kinds))]
 
+    def test_one_bucket_grid_searches_its_rows_once(self):
+        # no pair's difference exceeds the largest span, so every row ends at its signal's
+        # end before any search: the one search is the pass's, at its one edge
+        calls, ends = [], _DifferenceGrid._ends
+
+        def counted(grid, b):
+            calls.append(b)
+            return ends(grid, b)
+
+        with pytest.MonkeyPatch.context() as mp:  # 3,540 pairs: one bucket at the real size
+            mp.setattr(_DifferenceGrid, "_ends", counted)
+            _DifferenceGrid(WALKS)
+        assert calls == [float(threshold_candidates(WALKS)[-1])]
+
     def test_helper_ends_with_a_tune(self):
         with bucket_pairs(40), usable_cpus(2), every_worker_reaped(), forks() as fork:
             got = tune_threshold(WALKS, SampleBudget(0.3))
@@ -607,21 +621,18 @@ class TestGridPipeline:
         assert fork.call_count == 1
 
     def test_error_in_the_pass_reaches_the_caller(self):
-        # the second edge at the largest difference fails: the worker's last edge, as the
-        # first one is the cut this process makes before it forks; the worker inherits the
-        # count, so its share fails, and so does its share passed again here
+        # every edge at the largest difference fails: it ends the last run, so that run's
+        # pass fails wherever it runs, and so does its pass run again here
         top = float(threshold_candidates(WALKS)[-1])
-        at_top, ends = [], _DifferenceGrid._ends
+        ends = _DifferenceGrid._ends
 
-        def second_top_fails(grid, b):
+        def top_fails(grid, b):
             if b == top:
-                at_top.append(b)
-                if len(at_top) == 2:
-                    raise RuntimeError("edge failed")
+                raise RuntimeError("edge failed")
             return ends(grid, b)
 
         with bucket_pairs(40), usable_cpus(2), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_DifferenceGrid, "_ends", second_top_fails)
+            mp.setattr(_DifferenceGrid, "_ends", top_fails)
             with every_worker_reaped(), forks() as fork, pytest.raises(RuntimeError,
                                                                        match="edge failed"):
                 tune_threshold(WALKS, SampleBudget(0.3))
