@@ -70,10 +70,9 @@ def hold_kernel(x, y, first, grid):
 def nearest_kernel(x, y, first, grid):
     """The nearest knot's value; ties go to the earlier knot."""
     # an interval's first w // 2 + 1 points are nearer to (or tied with) its left knot, the rest
-    # to its right one; none follows the last knot
+    # to its right one; the last knot's right one is itself
     w = grid.widths
     left = w // 2 + 1
-    left[-1] = w[-1]
     counts = np.column_stack([left, w - left]).ravel()
     return np.repeat(np.column_stack([y, np.append(y[1:], y[-1])]).ravel(), counts)
 
@@ -103,14 +102,15 @@ def fritsch_carlson_slopes(x: np.ndarray, y: np.ndarray, first: np.ndarray) -> n
     secants and 0 where the secants change sign or vanish; the endpoints
     use the one-sided three-point estimate clamped so the first segment
     cannot overshoot. Two knots get their secant, a lone knot 0. ``first``
-    marks each signal's first knot in a block.
+    marks each signal's first knot in a block. The knot indices ``x`` are
+    integers, so every gap sum below is exact: the mean's numerator
+    3 (h0 + h1) equals w1 + w2 bit for bit.
     """
     y = np.asarray(y, dtype=np.float64)
     last = np.append(first[1:], True)
     h = np.diff(np.asarray(x, dtype=np.float64))
     d = np.diff(y)
     d /= h
-    m = np.zeros(y.size, dtype=np.float64)
     d0, d1 = d[:-1], d[1:]
     # the interior mean (w1 + w2) / (w1 / d0 + w2 / d1), w1 = 2 h1 + h0 and w2 = h1 + 2 h0,
     # built in place: a block of dense knots holds fewer knot-sized temporaries at once
@@ -120,13 +120,16 @@ def fritsch_carlson_slopes(x: np.ndarray, y: np.ndarray, first: np.ndarray) -> n
     w2 += h[1:]
     same_sign = (d0 != 0.0) & (d1 != 0.0) & ((d0 > 0.0) == (d1 > 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        mean = w1 + w2
         w1 /= d0
         w2 /= d1
         w1 += w2
-        mean /= w1
-    np.copyto(m[1:-1], mean, where=same_sign)
-    del w1, w2, mean
+        np.add(h[:-1], h[1:], out=w2)
+        w2 *= 3.0  # w1 + w2 = 3 (h0 + h1), built in w2 once it is spent
+        w2 /= w1
+    del w1
+    m = np.zeros(y.size, dtype=np.float64)
+    np.copyto(m[1:-1], w2, where=same_sign)
+    del w2
     # both ends of every signal of three or more knots, from the near and far gap
     starts = np.flatnonzero(first[:-2] & ~last[:-2] & ~last[1:-1])
     ends = np.flatnonzero(last[2:] & ~first[2:] & ~first[1:-1]) + 2

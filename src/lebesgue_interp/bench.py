@@ -1,9 +1,9 @@
 """Dataset ingestion, experiment orchestration and report emission.
 
-Two experiment modes mirror the evaluation protocol: FIXED_THRESHOLD samples
-every signal event-based at one threshold; BUDGET tunes a per-dataset
-threshold to a sample budget and scores both the event-based and the
-periodic regime ("L "/"R " method prefixes) on the same budget.
+Two experiment modes mirror the evaluation protocol: FIXED_THRESHOLD samples every signal
+event-based at one threshold; BUDGET tunes a per-dataset threshold to a sample budget and
+scores both the event-based and the periodic regime ("L "/"R " method prefixes) on the same
+budget. ``run_ucr_archive`` applies the UCR archive's file rules to a directory tree.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -52,6 +53,7 @@ __all__ = [
     "generate_synthetic_corpus",
     "run_experiment",
     "run_benchmark",
+    "run_ucr_archive",
     "emit_report",
 ]
 
@@ -409,6 +411,30 @@ def run_benchmark(bundles: Sequence[DatasetBundle], config: ExperimentConfig) ->
     and build the one report of their rankings."""
     return _run_datasets([lambda b=b: b for b in bundles], [b.values.size for b in bundles],
                          config)
+
+
+def run_ucr_archive(data_dir: str | os.PathLike, config: ExperimentConfig) -> MethodReport:
+    """``run_benchmark`` over the UCR datasets of the ``*.tsv`` files under a directory tree, in
+    train-path order. Before any loads, each file must be its dataset's one train or test file,
+    and no two CSV names may collide; each process loads its datasets, weighed by file bytes."""
+    data_dir, found = Path(data_dir), {}  # (folder, name, split) -> its files
+    for path in sorted(data_dir.rglob("*.tsv")):
+        found.setdefault((path.parent, *_ucr_split(path)), []).append(path)
+    for (folder, name, split), paths in found.items():
+        if split is None:
+            raise InvalidInputError(f"{paths[0]} has no _TRAIN or _TEST suffix")
+        if len(paths) > 1:
+            listed = ", ".join(map(str, paths))
+            raise InvalidInputError(f"one dataset has {len(paths)} {split} files: {listed}")
+        if (folder, name, "train") not in found:
+            raise InvalidInputError(f"{paths[0]} has no train file beside it")
+    if not found:
+        raise FileNotFoundError(f"no *_TRAIN.tsv files under {data_dir}")
+    pairs = [(paths[0], found.get((folder, name, "test"), [None])[0])
+             for (folder, name, split), paths in found.items() if split == "train"]
+    _csv_names([_ucr_split(train)[0] for train, _ in pairs])
+    weights = [sum(p.stat().st_size for p in pair if p is not None) for pair in pairs]
+    return _run_datasets([partial(load_ucr_dataset, *pair) for pair in pairs], weights, config)
 
 
 def _run_datasets(loaders: Sequence[Callable[[], DatasetBundle]], weights: Sequence[int],

@@ -1,4 +1,5 @@
-"""Command-line front door: sample, reconstruct, bench and verify.
+"""Command-line front door: sample, reconstruct, bench and verify. ``bench --data-dir``
+hands its directory to ``bench.run_ucr_archive``, which owns the UCR archive's file rules.
 
 Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 """
@@ -7,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import sys
 from pathlib import Path
 
@@ -18,14 +18,11 @@ from .bench import (
     METHODS,
     ExperimentConfig,
     ExperimentMode,
-    _csv_names,
-    _run_datasets,
-    _ucr_split,
     emit_report,
     generate_synthetic_corpus,
-    load_ucr_dataset,
     parse_finite_fields,
     run_benchmark,
+    run_ucr_archive,
 )
 from .core import ReconstructionParams, SampledSeries, TimeSeries
 from .errors import InvalidInputError, ParseError
@@ -138,26 +135,6 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-def _discover_datasets(data_dir: Path) -> list[tuple[Path, Path | None]]:
-    """(train, test-or-None) pairs, in train-path order, of the ``*.tsv`` files under a
-    directory tree; each file must be the one train or the one test file of its dataset."""
-    found: dict[tuple[Path, str, str | None], list[Path]] = {}
-    for path in sorted(data_dir.rglob("*.tsv")):
-        found.setdefault((path.parent, *_ucr_split(path)), []).append(path)
-    for (folder, name, split), paths in found.items():
-        if split is None:
-            raise InvalidInputError(f"{paths[0]} has no _TRAIN or _TEST suffix")
-        if len(paths) > 1:
-            listed = ", ".join(map(str, paths))
-            raise InvalidInputError(f"one dataset has {len(paths)} {split} files: {listed}")
-        if (folder, name, "train") not in found:
-            raise InvalidInputError(f"{paths[0]} has no train file beside it")
-    if not found:
-        raise FileNotFoundError(f"no *_TRAIN.tsv files under {data_dir}")
-    return [(paths[0], found.get((folder, name, "test"), [None])[0])
-            for (folder, name, split), paths in found.items() if split == "train"]
-
-
 def _cmd_bench(args) -> int:
     mode = ExperimentMode.FIXED_THRESHOLD if args.experiment == 1 else ExperimentMode.BUDGET
     if args.data_dir == "":  # Path("") is the working directory
@@ -172,13 +149,7 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
     )
     if args.data_dir is not None:
-        # each pair is parsed by the process that scores it, and weighs its file bytes; two
-        # names whose CSV files would collide fail before any work
-        pairs = _discover_datasets(Path(args.data_dir))
-        _csv_names([_ucr_split(train)[0] for train, _ in pairs])
-        loaders = [functools.partial(load_ucr_dataset, *pair) for pair in pairs]
-        weights = [sum(p.stat().st_size for p in pair if p is not None) for pair in pairs]
-        report = _run_datasets(loaders, weights, config)
+        report = run_ucr_archive(args.data_dir, config)
     else:
         counts = {}
         for token in args.synthetic.split(","):

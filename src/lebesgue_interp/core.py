@@ -232,11 +232,12 @@ def _fork_map(jobs: Sequence[Callable[[], object]], weights: Sequence[float]) ->
     here and every other in a worker forked before any job starts, each in job order up to
     its first job that raises an ``Exception``. A worker pickles its results into a pipe and
     ends with status 0 only once every byte is written. Then every job without a result, on
-    one process every job, runs here in job order, so an error raises as in the in-order
-    run; if this process raises anything else, every worker is killed. Every worker is
-    reaped before this returns."""
+    one process every job, runs here in job order up to the job whose error this process
+    kept, which raises that error without running again, so an error raises as in the
+    in-order run; if this process raises anything else, every worker is killed. Every worker
+    is reaped before this returns."""
     global _forking
-    procs, done = _fork_procs(len(jobs)), {}
+    procs, done, failed = _fork_procs(len(jobs)), {}, None
     if procs > 1:
         shares, totals = [[] for _ in range(procs)], [0] * procs
         for i in sorted(range(len(jobs)), key=lambda i: -weights[i]):
@@ -257,7 +258,7 @@ def _fork_map(jobs: Sequence[Callable[[], object]], weights: Sequence[float]) ->
                     _work(jobs, share, write)
                 os.close(write)
                 workers.append((pid, open(read, "rb")))
-            done = _run_share(jobs, shares[0])
+            done, failed = _run_share(jobs, shares[0])
             while workers:
                 pid, fh = workers[0]
                 data = fh.read()
@@ -271,28 +272,32 @@ def _fork_map(jobs: Sequence[Callable[[], object]], weights: Sequence[float]) ->
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
                 fh.close()
-    return [done[i] if i in done else job() for i, job in enumerate(jobs)]
+    stop, error = failed or (len(jobs), None)
+    results = [done[i] if i in done else jobs[i]() for i in range(stop)]
+    if error is not None:
+        raise error
+    return results
 
 
-def _run_share(jobs: Sequence[Callable[[], object]], share: list[int]) -> dict:
+def _run_share(jobs: Sequence[Callable[[], object]], share: list[int]) -> tuple[dict, tuple | None]:
     """The results of the jobs ``share`` names, by index, in order up to the first that
-    raises an ``Exception``: that one raises again when it runs in job order."""
+    raises an ``Exception``, and that job's index and error (None when none raised)."""
     results = {}
     for i in sorted(share):
         try:
             results[i] = jobs[i]()
-        except Exception:
-            break
-    return results
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
 
 
 def _work(jobs: Sequence[Callable[[], object]], share: list[int], write: int) -> NoReturn:
-    """A forked worker: pickle ``_run_share(jobs, share)`` into the pipe ``write`` and end
-    the process, with status 0 only when every byte was written. It never returns."""
+    """A forked worker: pickle ``_run_share(jobs, share)``'s results into the pipe ``write``
+    and end the process, with status 0 only when every byte was written. It never returns."""
     code = 1
     try:
         with open(write, "wb") as fh:
-            pickle.dump(_run_share(jobs, share), fh, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(_run_share(jobs, share)[0], fh, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)

@@ -66,7 +66,7 @@ def knot_plan(
             gated &= dx < params.subsequent_max_distance
     anchor = abrupt & (xb - 1 > np.where(gated, xm, xa))
     turn = np.flatnonzero(gated & (xm > xa))
-    if turn.size == 0 and not anchor.any():
+    if turn.size == 0 and not anchor.any():  # the kernels then hold no copy of the knots
         return x, y, first
     chord = ya[turn] + dy[turn] * (xm[turn] - xa[turn]) / dx[turn]
     edge = np.where(ya[turn] < y[turn - 1], -params.threshold, params.threshold)

@@ -572,15 +572,12 @@ class TestBlockedScoring:
         return peak
 
     def test_one_block_peak_memory(self):
-        # one full block of walks: each plan's knots, grid and tail hold,
-        # one kernel output at a time and the kernel's own temporaries
-        assert self._one_block_peak(0.05) <= 14 * 8 * metrics.BLOCK_POINTS
-
-    @pytest.mark.parametrize("threshold", [0.0, 0.01])
-    def test_one_block_peak_memory_with_dense_knots(self, threshold):
-        # as above, but the kept points, the planned knots and the slope temporaries
-        # are block-sized too
-        assert self._one_block_peak(threshold) <= 16 * 8 * metrics.BLOCK_POINTS
+        # one full block of walks: each plan's knots, grid and tail hold, one kernel output
+        # at a time and the kernel's own temporaries; at thresholds 0 and 0.01 the kept
+        # points, the planned knots and the slope temporaries are block-sized too
+        block = 8 * metrics.BLOCK_POINTS
+        peaks = {t: self._one_block_peak(t) / block for t in (0.0, 0.01, 0.05)}
+        assert max(peaks.values()) <= 14, peaks
 
     @pytest.mark.parametrize("riemann", [False, True])
     def test_method_order_does_not_change_scores(self, riemann):
@@ -733,6 +730,30 @@ class TestRunBenchmark:
             report = run_benchmark(bundles, ExperimentConfig(methods=("zoh", "linear")))
         assert agg.call_count == 1
         assert [d.dataset for d in report.datasets] == ["d0", "d1", "d2"]
+
+
+class TestRunUcrArchive:
+    @pytest.mark.parametrize("mode", list(ExperimentMode))
+    def test_writes_what_bench_data_dir_writes(self, tmp_path, mode):
+        data = _ragged_ucr_dir(tmp_path / "ucr")
+        experiment = "1" if mode is ExperimentMode.FIXED_THRESHOLD else "2"
+        argv = ["bench", "--experiment", experiment, "--data-dir", str(data)]
+        assert main([*argv, "--out", str(tmp_path / "cli")]) == 0
+        paths = emit_report(bench.run_ucr_archive(data, ExperimentConfig(mode=mode)),
+                            tmp_path / "lib")
+        want = {p.name: p.read_bytes() for p in (tmp_path / "cli").iterdir()}
+        assert {p.name: p.read_bytes() for p in paths} == want
+
+    def test_file_name_collision_raises_before_any_dataset_loads(self, tmp_path, monkeypatch):
+        for name in ("a.b", "a_b"):
+            (tmp_path / f"{name}_TRAIN.tsv").write_text("1\t0.1\t0.4\t0.2\t0.9\n")
+        monkeypatch.setattr(os, "sched_getaffinity", _cpus(1))  # every load would run here
+        load = mock.Mock(wraps=load_ucr_dataset)
+        monkeypatch.setattr(bench, "load_ucr_dataset", load)
+        with pytest.raises(InvalidInputError) as err:
+            bench.run_ucr_archive(tmp_path, ExperimentConfig())
+        assert str(err.value) == "datasets 'a.b' and 'a_b' would both write a_b_rmse.csv"
+        assert load.call_count == 0
 
 
 def _cpus(n):

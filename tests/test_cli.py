@@ -18,6 +18,7 @@ from lebesgue_interp import (
     ParseError,
     ReconstructionParams,
     TimeSeries,
+    bench,
     cli,
     emit_report,
     lebesgue_sample,
@@ -431,7 +432,7 @@ class TestBenchCommand:
         for name in ("a.b", "a_b"):
             (data / f"{name}_TRAIN.tsv").write_text("1\t0.1\t0.4\t0.2\t0.9\n")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # every load runs here
-        monkeypatch.setattr(cli, "load_ucr_dataset",
+        monkeypatch.setattr(bench, "load_ucr_dataset",
                             lambda *pair: loads.append(pair) or load_ucr_dataset(*pair))
         out = tmp_path / "rep"
         assert main(["bench", "--data-dir", str(data), "--out", str(out)]) == 1
@@ -471,7 +472,7 @@ class TestBenchCommand:
         # an empty --data-dir neither falls back to the synthetic corpus nor scans the
         # working directory, which holds a dataset here
         monkeypatch.setattr(cli, "generate_synthetic_corpus", None)  # never reached
-        monkeypatch.setattr(cli, "load_ucr_dataset", None)  # never reached
+        monkeypatch.setattr(bench, "load_ucr_dataset", None)  # never reached
         (tmp_path / "Here_TRAIN.tsv").write_text("1\t0.0\t0.5\t1.0\n")
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "rep"

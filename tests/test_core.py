@@ -208,7 +208,7 @@ class TestEqualLengthCheck:
 WEIGHTS = [3, 9, 1, 4, 4, 2, 7, 5]  # job 1 is the heaviest
 
 
-def _logged_jobs(log, fails):
+def _logged_jobs(log, fails, weights=WEIGHTS):
     """One job per weight: job i appends its pid and i to ``log``, a file the workers
     inherit, raises where ``fails(i)`` is true and returns 10 * i."""
     def job(i):
@@ -218,7 +218,7 @@ def _logged_jobs(log, fails):
             raise ValueError(f"job {i} failed")
         return 10 * i
 
-    return [functools.partial(job, i) for i in range(len(WEIGHTS))]
+    return [functools.partial(job, i) for i in range(len(weights))]
 
 
 def _runs(log):
@@ -284,3 +284,14 @@ class TestForkMap:
         jobs = _logged_jobs(tmp_path / "log", lambda i: i in (2, 5))
         with pytest.raises(ValueError, match="job 2 failed"):
             _fork_map_on(cpus, jobs, WEIGHTS, monkeypatch)
+
+    def test_a_job_that_failed_here_does_not_run_again(self, tmp_path, monkeypatch, cpus):
+        # job 1, the heaviest, runs here and raises; jobs 0 and 2 run in a worker when
+        # there is one, and here before job 1 when there is not
+        log, weights = tmp_path / "log", [1, 5, 1]
+        jobs = _logged_jobs(log, lambda i: i == 1, weights)
+        with pytest.raises(ValueError, match="job 1 failed"):
+            _fork_map_on(cpus, jobs, weights, monkeypatch)
+        runs = _runs(log)
+        assert runs.pop(os.getpid()) == ([0, 1] if cpus == 1 else [1])
+        assert all(1 not in ran for ran in runs.values())
