@@ -18,7 +18,7 @@ from .baselines import interp_pchip
 from .bench import generate_synthetic_corpus
 from .core import SampledSeries, TimeSeries
 from .errors import InvalidInputError
-from .sampling import lebesgue_sample
+from .sampling import _send_on_delta, lebesgue_sample
 
 __all__ = [
     "CheckResult",
@@ -116,13 +116,24 @@ def _walk_cases(seed: int, count: int):
 
 
 def check_sampler_trace(seed: int, count: int) -> CheckResult:
-    """The sampler keeps exactly the points the naive trace keeps."""
+    """The sampler keeps exactly the points the naive trace keeps, on each walk alone and on the
+    walks of each threshold sampled as one dataset, which runs them in lockstep from 32 walks on."""
     mismatches = 0
+    by_threshold: dict[float, tuple[list, list]] = {}
     for ts, t in _walk_cases(seed, count):
         got = lebesgue_sample(ts, t)
         idx, vals = zip(*trace_send_on_delta(ts.values.tolist(), t))
         mismatches += got.indices.tolist() != list(idx) or got.values.tolist() != list(vals)
-    detail = f"{count} walks x {len(THRESHOLDS)} thresholds + quantized, {mismatches} mismatches"
+        walks, traces = by_threshold.setdefault(t, ([], []))
+        walks.append(ts.values)
+        traces.append(list(idx))
+    for t, (walks, traces) in by_threshold.items():
+        offsets = np.cumsum([0, *map(len, walks)])
+        kept = _send_on_delta(np.concatenate(walks), offsets, t)
+        signals = np.split(kept, np.searchsorted(kept, offsets[1:-1]))
+        mismatches += sum((k - a).tolist() != idx for k, a, idx in zip(signals, offsets, traces))
+    detail = (f"{count} walks x {len(THRESHOLDS)} thresholds + quantized, alone and as one "
+              f"dataset per threshold, {mismatches} mismatches")
     return CheckResult("sampler-vs-naive-trace", mismatches == 0, detail)
 
 

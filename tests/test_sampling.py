@@ -26,6 +26,7 @@ from lebesgue_interp import sampling
 from lebesgue_interp.core import _normalize
 from lebesgue_interp.sampling import (
     _DifferenceGrid,
+    _by_run,
     _kept_fraction,
     _send_on_delta,
     threshold_candidates,
@@ -139,9 +140,29 @@ _rows = st.one_of(
 )
 
 
+def _rows_of(n):
+    """Rows of n values: floats, a constant, a walk in steps of 1/64, or values of +-1e308,
+    whose differences overflow to +-inf."""
+    return st.one_of(
+        st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
+        st.floats(-1.0, 1.0).map(lambda c: [c] * n),
+        st.lists(st.integers(-8, 8), min_size=n, max_size=n).map(lambda k: list(np.cumsum(k) / 64)),
+        st.lists(st.sampled_from([-1e308, 0.0, 1e308]), min_size=n, max_size=n),
+    )
+
+
+@st.composite
+def _lockstep_run(draw):
+    """32 to 40 rows of one length from 1 to 12, each one of up to 6 rows drawn by ``_rows_of``."""
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(_rows_of(n), min_size=1, max_size=6))
+    return [rows[i] for i in draw(st.lists(st.integers(0, len(rows) - 1), min_size=32, max_size=40))]
+
+
 class TestFlatSampler:
-    """One send-on-delta loop over a whole dataset keeps, signal by signal,
-    exactly the points the naive trace keeps."""
+    """One send-on-delta pass over a whole dataset, in lockstep over each run of 32 or more
+    equal-length signals and in a loop over the rest, keeps, signal by signal, exactly the
+    points the naive trace keeps."""
 
     def test_equals_naive_trace_on_benchmark_shaped_corpora(self):
         for bundle, thresholds in _benchmark_shaped():
@@ -157,12 +178,35 @@ class TestFlatSampler:
         assert _send_on_delta(bundle.values, bundle.offsets, threshold).tolist() == _traced(
             bundle, threshold)
 
-    def test_peak_memory_of_normalizing_and_sampling_a_dataset(self):
-        # 300 x 256 points, as a UCR dataset: each signal goes to a Python list
-        # on its own, so no step holds the dataset as Python floats
-        rng = np.random.default_rng(4)
-        values = np.cumsum(rng.normal(size=(300, 256)), axis=1).ravel()
-        offsets = np.arange(301) * 256
+    @given(runs=st.lists(st.one_of(_lockstep_run(), st.lists(_rows, min_size=1, max_size=3)),
+                         min_size=1, max_size=3),
+           threshold=st.sampled_from([0.0, 1 / 16, 0.05, 0.5, 1e3]))
+    @settings(max_examples=100, deadline=None)
+    def test_lockstep_runs_equal_naive_trace(self, runs, threshold):
+        bundle = DatasetBundle("d", [TimeSeries(r) for run in runs for r in run])
+        assert _send_on_delta(bundle.values, bundle.offsets, threshold).tolist() == _traced(
+            bundle, threshold)
+        signals = [signal for _, signal in _by_run(bundle.values, bundle.offsets)]
+        assert _kept_fraction(signals, threshold) == bundle_fraction(bundle, threshold)
+
+    def test_runs_of_32_signals_take_the_lockstep(self):
+        # 31 signals of 7 points loop; the 32 of 5 points after them run in lockstep, in both the
+        # sampler and the tuner's probes
+        rng = np.random.default_rng(3)
+        bundle = DatasetBundle("d", [TimeSeries(rng.normal(size=n)) for n in [7] * 31 + [5] * 32])
+        paths = [(a, type(signal)) for a, signal in _by_run(bundle.values, bundle.offsets)]
+        assert paths == [(7 * i, list) for i in range(31)] + [(217, np.ndarray)]
+        with mock.patch.object(sampling, "_fires", wraps=sampling._fires) as fires:
+            kept = _send_on_delta(bundle.values, bundle.offsets, 0.5)
+            assert len(fires.call_args_list) == 1
+            tune_threshold(bundle, SampleBudget(0.5))
+        assert len(fires.call_args_list) > 2
+        for call in fires.call_args_list:
+            assert np.array_equal(call.args[0], bundle.values[217:].reshape(32, 5))
+        assert kept.tolist() == _traced(bundle, 0.5)
+
+    @staticmethod
+    def _sampling_peak(values, offsets):
         for _ in range(2):  # the first call's allocations are not the dataset's
             tracemalloc.start()
             try:
@@ -171,7 +215,26 @@ class TestFlatSampler:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-        assert peak <= 3 * values.nbytes
+        return peak
+
+    def test_peak_memory_of_normalizing_and_sampling_a_dataset(self):
+        """300 x 256 points, as a UCR dataset: one run of equal-length signals, sampled in
+        lockstep, which holds one bool per value of the run besides the kept positions, so no
+        step holds the dataset as Python floats."""
+        rng = np.random.default_rng(4)
+        values = np.cumsum(rng.normal(size=(300, 256)), axis=1).ravel()
+        offsets = np.arange(301) * 256
+        assert self._sampling_peak(values, offsets) <= 3 * values.nbytes
+
+    def test_peak_memory_of_normalizing_and_sampling_short_runs(self):
+        """300 signals of 256 and 255 points in runs of 30, each shorter than the lockstep's: the
+        loop takes each signal to a Python list on its own, so no step holds the dataset as
+        Python floats."""
+        rng = np.random.default_rng(4)
+        lengths = np.repeat(np.tile([256, 255], 5), 30)
+        values = np.cumsum(rng.normal(size=int(lengths.sum())))
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        assert self._sampling_peak(values, offsets) <= 3 * values.nbytes
 
 
 class TestRiemannSample:
