@@ -184,12 +184,11 @@ def _hermite(acc: np.ndarray, grid: Grid, y: np.ndarray, m: np.ndarray) -> None:
     acc += p
 
 
-def reconstruct_block(plan, kernels, x, y, first, n: int, params=None, grid=None):
+def reconstruct_block(plan, kernels, x, y, first, n: int, params=None):
     """Each kernel's n grid values for a block, in turn: the kernel over the
     knots ``plan`` makes, (x, y, first, params) -> (x, y, first), or over the
     kept points alone, then each signal's last knot value held to its end.
-    The plan, its grid and its tail hold are built once for all kernels; with
-    no plan, ``grid`` may be the kept points' grid, built by the caller.
+    The plan's knots, their ``Grid`` and the tail hold are built once for all kernels.
 
     The hold kernel's output is the grid's own ``y``: write to no output
     before the last kernel has run.
@@ -198,8 +197,7 @@ def reconstruct_block(plan, kernels, x, y, first, n: int, params=None, grid=None
     # is at most about 1, so planted knots lie in [-0.5, 1.5]; raw values go via reconstruct_signal.
     if plan is not None:
         x, y, first = plan(x, y, first, params)
-    if grid is None:
-        grid = Grid(x, y, n)
+    grid = Grid(x, y, n)
     tail = np.repeat(np.append(first[1:], True), grid.widths)
     held = grid.y[tail]
     for kernel in kernels:

@@ -30,13 +30,12 @@ from .baselines import (
     nearest_kernel,
     reconstruct_block,
 )
-from .core import DatasetBundle, ReconstructionParams, _fork_map, _normalize
+from .core import DatasetBundle, ReconstructionParams, _fork_map, _normalize, _runs
 from .errors import InvalidInputError, ParseError
 from .metrics import (
     DatasetResult,
     MethodReport,
     MethodScore,
-    _runs,
     aggregate_report,
     mean_abruptness,
     rmse_per_signal,
@@ -327,7 +326,7 @@ def _score_sampled(values: np.ndarray, offsets: np.ndarray, kept: np.ndarray,
     each skipped point strictly inside the band of ``params.threshold`` around the last kept."""
     table: dict[str, list[float]] = {m: [] for m in methods}
     by_plan: dict[Callable | None, list[str]] = {}
-    for m in sorted(methods, key=lambda m: METHODS[m][1] is not None):  # the plain ones first
+    for m in methods:
         by_plan.setdefault(METHODS[m][1], []).append(m)
     knots = np.searchsorted(kept, offsets)  # signal i keeps kept[knots[i]:knots[i + 1]]
     first = np.zeros(kept.size, dtype=bool)
@@ -335,12 +334,11 @@ def _score_sampled(values: np.ndarray, offsets: np.ndarray, kept: np.ndarray,
     for lo, hi in signal_blocks(np.diff(offsets).tolist()):
         base, n = offsets[lo], int(offsets[hi] - offsets[lo])
         v, bounds = values[base : offsets[hi]], offsets[lo : hi + 1] - base
-        runs = list(_runs(np.diff(bounds)))
+        runs = _runs(np.diff(bounds))
         x, f = kept[knots[lo] : knots[hi]] - base, first[knots[lo] : knots[hi]]
         y = v[x]
-        grid = Grid(x, y, n)  # the kept points' grid: the band check and the plain methods read it
         if band:
-            outside = np.subtract(v, grid.y)
+            outside = np.subtract(v, Grid(x, y, n).y)
             np.abs(outside, out=outside)
             outside = outside >= params.threshold
             outside[x] = False
@@ -351,9 +349,7 @@ def _score_sampled(values: np.ndarray, offsets: np.ndarray, kept: np.ndarray,
             del outside
         for plan, group in by_plan.items():
             kernels = [METHODS[m][2] for m in group]
-            outs = reconstruct_block(plan, kernels, x, y, f, n, params,
-                                     grid if plan is None else None)
-            grid = None  # the plain methods, which come first, are its last readers
+            outs = reconstruct_block(plan, kernels, x, y, f, n, params)
             for m in group:
                 out = next(outs)
                 off = np.flatnonzero(out[x] != y)

@@ -154,10 +154,13 @@ def _cmd_bench(args) -> int:
         counts = {}
         for token in args.synthetic.split(","):
             fam, _, cnt = token.partition("=")
-            if fam.strip() in counts:
-                raise InvalidInputError(f"--synthetic names {fam.strip()!r} twice: {token!r}")
+            fam = fam.strip()
+            if not fam:
+                raise InvalidInputError(f"--synthetic: entry {token!r} names no family")
+            if fam in counts:
+                raise InvalidInputError(f"--synthetic names {fam!r} twice: {token!r}")
             try:
-                counts[fam.strip()] = int(cnt) if cnt else 10
+                counts[fam] = int(cnt) if cnt else 10
             except ValueError:
                 msg = f"--synthetic: cannot parse the count in {token!r}"
                 raise InvalidInputError(msg) from None

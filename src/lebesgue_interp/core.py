@@ -1,4 +1,4 @@
-"""Shared domain types, normalization, and the one rule for forked runs.
+"""Shared domain types, normalization, equal-length runs, and the one rule for forked runs.
 
 The time axis is always the integer sample index 0..n-1; values are float64,
 read-only after construction, and safe to share across threads.
@@ -194,6 +194,13 @@ def _normalize(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         out[a:b] = 0.0 if span[i] == 0.0 else (v - l) / (h - l)
     out.setflags(write=False)
     return out
+
+
+def _runs(lengths: np.ndarray) -> list[tuple[int, int]]:
+    """The [lo, hi) runs of consecutive equal ``lengths``, in order: the signals
+    ``offsets[lo]:offsets[hi]`` of a run are the rows of one reshaped slice of ``values``."""
+    edges = np.flatnonzero(np.diff(lengths, prepend=-1, append=-1)).tolist()
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def normalize_unit_interval(series: TimeSeries) -> TimeSeries:

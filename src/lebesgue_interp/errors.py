@@ -12,7 +12,7 @@ class InvalidInputError(ValueError):
 
 
 class ShapeError(ValueError):
-    """Lengths or dimensions do not line up (e.g. ragged dataset rows)."""
+    """Lengths or dimensions do not line up (e.g. sampled indices and values)."""
 
 
 class ParseError(ValueError):

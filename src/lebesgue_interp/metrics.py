@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import TimeSeries
+from .core import TimeSeries, _runs
 from .errors import InvalidInputError, ShapeError
 
 __all__ = [
@@ -46,7 +46,7 @@ def rmse_per_signal(
 ) -> list[float]:
     """The RMSE of each signal of a block, signal i being [bounds[i], bounds[i + 1]), each run of
     equal-length signals reduced as the rows of one 2-D array; no overflow retry ([0, 1] values).
-    ``runs`` are those runs as ``_runs(np.diff(bounds))`` cuts them, when the caller has them."""
+    ``runs`` are those runs, ``core._runs(np.diff(bounds))``, when the caller has them."""
     lengths = np.diff(bounds)
     sq = np.subtract(original, reconstructed)
     np.square(sq, out=sq)
@@ -55,15 +55,6 @@ def rmse_per_signal(
         rows = sq[bounds[lo] : bounds[hi]].reshape(hi - lo, lengths[lo])
         means[lo:hi] = np.add.reduce(rows, axis=1) / lengths[lo]  # np.mean's own sum and division
     return np.sqrt(means).tolist()
-
-
-def _runs(lengths: np.ndarray, points: int | None = None):
-    """[lo, hi) runs of consecutive equal lengths, each cut to at most
-    ``points`` points in all unless a single length is larger."""
-    edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(lengths)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        step = max(1, hi - lo if points is None else points // int(lengths[lo]))
-        yield from ((a, min(a + step, hi)) for a in range(lo, hi, step))
 
 
 def signal_blocks(lengths: Sequence[int]):
@@ -96,10 +87,13 @@ def mean_abruptness(values: np.ndarray, offsets: np.ndarray) -> float | None:
     if (lengths < 2).any():
         return None
     sd = np.empty(lengths.size)
-    for lo, hi in _runs(lengths, BLOCK_POINTS):
-        rows = values[offsets[lo] : offsets[hi]].reshape(hi - lo, lengths[lo])
-        with np.errstate(over="ignore", invalid="ignore"):
-            sd[lo:hi] = np.std(np.diff(rows, axis=1), axis=1)
+    for lo, hi in _runs(lengths):
+        step = max(1, BLOCK_POINTS // int(lengths[lo]))  # rows of at most a block, or one row
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            rows = values[offsets[a] : offsets[b]].reshape(b - a, lengths[lo])
+            with np.errstate(over="ignore", invalid="ignore"):
+                sd[a:b] = np.std(np.diff(rows, axis=1), axis=1)
     for i in np.flatnonzero(~np.isfinite(sd)):
         sd[i] = abruptness(TimeSeries._of(values[offsets[i] : offsets[i + 1]]))
     mean = _overflow_safe(np.mean, sd)

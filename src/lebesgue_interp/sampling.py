@@ -14,9 +14,9 @@ from functools import partial
 
 import numpy as np
 
-from .core import DatasetBundle, SampledSeries, TimeSeries, _check_threshold, _fork_map, _fork_procs
+from .core import (DatasetBundle, SampledSeries, TimeSeries, _check_threshold, _fork_map,
+                   _fork_procs, _runs)
 from .errors import InfeasibleBudgetError, InvalidInputError
-from .metrics import _runs
 
 __all__ = [
     "SampleBudget",
@@ -89,7 +89,7 @@ def _send_on_delta(values: np.ndarray, offsets: np.ndarray, threshold: float) ->
 def _by_run(values: np.ndarray, offsets: np.ndarray):
     """The signals ``values[offsets[i]:offsets[i + 1]]`` in order, each with its first
     position: a run of at least ``_LOCKSTEP`` consecutive equal-length signals
-    (``metrics._runs``) as the rows of one 2-D view, and every other signal alone as a list of
+    (``core._runs``) as the rows of one 2-D view, and every other signal alone as a list of
     floats, made as it is reached (a list costs 4 floats per value)."""
     lengths = np.diff(offsets)
     for lo, hi in _runs(lengths):

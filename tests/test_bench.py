@@ -43,7 +43,7 @@ from lebesgue_interp import (
     run_benchmark,
     run_experiment,
 )
-from lebesgue_interp import bench, metrics, sampling
+from lebesgue_interp import bench, core, metrics, sampling
 from lebesgue_interp.cli import main
 from conftest import PER_SIGNAL
 from oracles import (
@@ -584,7 +584,7 @@ class TestBlockedScoring:
 
     @pytest.mark.parametrize("riemann", [False, True])
     def test_method_order_does_not_change_scores(self, riemann):
-        # the plain methods share the kept points' grid, each plan's methods that plan's grid:
+        # methods run grouped by knot plan, in the order given, each plan over its own grid:
         # no order of the methods may change a score
         rng = np.random.default_rng(8)
         specs = [("walk", 1), ("flat", 30), ("step", 40), ("walk", 300), ("walk", 5)] * 3
@@ -638,6 +638,7 @@ class TestBlockedScoring:
                 assert all(math.isfinite(s["mean_rmse"]) for d in datasets for s in d["scores"])
             assert files[64] == files[metrics.BLOCK_POINTS], label
         assert not hasattr(bench, "BLOCK_POINTS")  # the block size lives in metrics only
+        assert sampling._runs is metrics._runs is bench._runs is core._runs  # one run rule
 
 
 class TestEmitReport:

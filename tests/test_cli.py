@@ -495,8 +495,13 @@ class TestBenchCommand:
             ("sine,walk=2,sine=4", "--synthetic names 'sine' twice: 'sine=4'"),
             ("walk=abc", "--synthetic: cannot parse the count in 'walk=abc'"),
             ("sine=2,walk=3.5", "--synthetic: cannot parse the count in 'walk=3.5'"),
+            ("walk=3,,", "--synthetic: entry '' names no family"),
+            ("walk=3,", "--synthetic: entry '' names no family"),
+            (",walk=3", "--synthetic: entry '' names no family"),
+            ("walk=3, =2", "--synthetic: entry ' =2' names no family"),
         ],
-        ids=["repeat", "repeat-without-count", "text-count", "float-count"],
+        ids=["repeat", "repeat-without-count", "text-count", "float-count", "empty-entries",
+             "trailing-comma", "leading-comma", "count-without-family"],
     )
     def test_bad_synthetic_spec_exits_1(self, tmp_path, capsys, spec, message):
         out = tmp_path / "rep"

@@ -115,6 +115,10 @@ class TestDatasetBundle:
         with pytest.raises(ValueError):
             bundle.signals[2].values[0] = 0.0
 
+    def test_empty_bundle_rejected(self):
+        with pytest.raises(InvalidInputError):
+            DatasetBundle("d", ())
+
 
 class TestFlatNormalize:
     """One pass over a whole dataset gives each signal the bits that
@@ -197,12 +201,6 @@ def test_threshold_rule_is_the_same_everywhere(threshold):
         with pytest.raises(InvalidInputError) as err:
             make()
         assert str(err.value) == f"threshold must be finite and >= 0, got {threshold}"
-
-
-class TestEqualLengthCheck:
-    def test_empty_bundle_rejected(self):
-        with pytest.raises(InvalidInputError):
-            DatasetBundle("d", ())
 
 
 WEIGHTS = [3, 9, 1, 4, 4, 2, 7, 5]  # job 1 is the heaviest

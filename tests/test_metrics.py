@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -161,6 +162,28 @@ class TestAbruptness:
         with mock.patch.object(metrics, "BLOCK_POINTS", block):
             got = mean_abruptness(bundle.values, bundle.offsets)
         assert got == mean_abruptness_per_signal(values)
+
+    @pytest.mark.parametrize("count, length, block", [
+        (2000, 140, None), (2000, 140, 2048),
+        (20, 20000, None), (20, 20000, 16384),  # each signal is longer than a block
+    ])
+    def test_peak_memory_is_a_few_blocks(self, count, length, block):
+        # each reshaped slice holds at most a block of points, or one signal: its differences
+        # and np.std's temporaries, plus a few floats per signal; stacking a whole run would
+        # hold at least twice the dataset's bytes
+        block = block or metrics.BLOCK_POINTS
+        values = np.random.default_rng(3).normal(size=count * length)
+        offsets = np.arange(count + 1) * length
+        with mock.patch.object(metrics, "BLOCK_POINTS", block):
+            for _ in range(2):  # the first call's allocations are not mean_abruptness's
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    mean_abruptness(values, offsets)
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+        assert peak <= 4 * 8 * block + 64 * count
 
     @given(rmse_vectors.filter(lambda v: len(v) >= 2), st.floats(-100, 100, allow_nan=False))
     @settings(max_examples=100)
