@@ -24,16 +24,13 @@ from .bench import (
 )
 from .core import (
     DatasetBundle,
+    InfeasibleBudgetError,
+    InvalidInputError,
+    ParseError,
     ReconstructionParams,
     SampledSeries,
     TimeSeries,
     normalize_unit_interval,
-)
-from .errors import (
-    InfeasibleBudgetError,
-    InvalidInputError,
-    ParseError,
-    ShapeError,
 )
 from .metrics import (
     DatasetResult,
@@ -72,7 +69,6 @@ __all__ = [
     "ReconstructionParams",
     "SampleBudget",
     "SampledSeries",
-    "ShapeError",
     "TimeSeries",
     "abruptness",
     "aggregate_report",

@@ -30,8 +30,8 @@ from .baselines import (
     nearest_kernel,
     reconstruct_block,
 )
-from .core import DatasetBundle, ReconstructionParams, _fork_map, _normalize, _runs
-from .errors import InvalidInputError, ParseError
+from .core import (DatasetBundle, InvalidInputError, ParseError, ReconstructionParams, _fork_map,
+                   _normalize, _runs)
 from .metrics import (
     DatasetResult,
     MethodReport,

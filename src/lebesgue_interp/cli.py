@@ -24,8 +24,7 @@ from .bench import (
     run_benchmark,
     run_ucr_archive,
 )
-from .core import ReconstructionParams, SampledSeries, TimeSeries
-from .errors import InvalidInputError, ParseError
+from .core import InvalidInputError, ParseError, ReconstructionParams, SampledSeries, TimeSeries
 from .sampling import SampleBudget, lebesgue_sample, riemann_sample
 from .verify import run_all_checks
 
@@ -139,7 +138,8 @@ def _cmd_bench(args) -> int:
     mode = ExperimentMode.FIXED_THRESHOLD if args.experiment == 1 else ExperimentMode.BUDGET
     if args.data_dir == "":  # Path("") is the working directory
         raise InvalidInputError("--data-dir is empty; name a directory")
-    methods = tuple(METHODS) if args.methods is None else tuple(args.methods.split(","))
+    methods = (tuple(METHODS) if args.methods is None
+               else tuple(m.strip() for m in args.methods.split(",")))
     config = ExperimentConfig(
         mode=mode,
         threshold=args.threshold,
@@ -252,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse: 0 after --help, 2 after printing a usage error
         return 1 if exc.code else 0
-    except ValueError as exc:  # every error of .errors is a ValueError
+    except ValueError as exc:  # every error of .core is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's message names the array it could not allocate

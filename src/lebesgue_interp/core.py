@@ -1,4 +1,9 @@
-"""Shared domain types, normalization, equal-length runs, and the one rule for forked runs.
+"""Shared domain types, the package's errors, normalization, equal-length runs, and the
+one rule for forked runs.
+
+Every error is a ValueError, so callers can catch broadly; the CLI maps them to exit
+code 1 (validation) while OSError stays exit code 2 (I/O). Each one pickles, so it
+can cross a process boundary.
 
 The time axis is always the integer sample index 0..n-1; values are float64,
 read-only after construction, and safe to share across threads.
@@ -16,11 +21,10 @@ import signal
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NoReturn, Sequence
 
 import numpy as np
-
-from .errors import InvalidInputError, ShapeError
 
 __all__ = [
     "TimeSeries",
@@ -28,7 +32,36 @@ __all__ = [
     "ReconstructionParams",
     "DatasetBundle",
     "normalize_unit_interval",
+    "InvalidInputError",
+    "ParseError",
+    "InfeasibleBudgetError",
 ]
+
+
+class InvalidInputError(ValueError):
+    """An argument violates an operation's precondition."""
+
+
+class ParseError(ValueError):
+    """A text field could not be parsed; carries row/column context."""
+
+    def __init__(self, message: str, *, row: int | None = None, column: int | None = None):
+        super().__init__(message)
+        self.row = row
+        self.column = column
+
+
+class InfeasibleBudgetError(ValueError):
+    """No candidate threshold can meet the requested sample budget."""
+
+    def __init__(self, message: str, *, min_achievable_fraction: float):
+        super().__init__(message)
+        self.min_achievable_fraction = min_achievable_fraction
+
+    def __reduce__(self):
+        # pickle's default rebuilds by cls(*args), which lacks the keyword-only fraction
+        rebuild = partial(type(self), min_achievable_fraction=self.min_achievable_fraction)
+        return rebuild, self.args
 
 
 def _as_signal_array(values, what: str) -> np.ndarray:
@@ -88,7 +121,7 @@ class SampledSeries:
         idx = np.asarray(self.indices, dtype=np.int64).copy()
         vals = _as_signal_array(self.values, "sampled values")
         if idx.ndim != 1 or idx.size != vals.size:
-            raise ShapeError(
+            raise InvalidInputError(
                 f"indices and values must be equal-length 1-d arrays, got {idx.shape} vs {vals.shape}"
             )
         if idx[0] != 0:

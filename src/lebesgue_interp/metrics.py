@@ -11,8 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import TimeSeries, _runs
-from .errors import InvalidInputError, ShapeError
+from .core import InvalidInputError, TimeSeries, _runs
 
 __all__ = [
     "MethodScore",
@@ -32,7 +31,7 @@ def rmse(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """Root of the mean squared pointwise difference of two equal-length arrays."""
     n, m = original.size, reconstructed.size
     if n != m:
-        raise ShapeError(f"length mismatch: original {n} vs reconstruction {m}")
+        raise InvalidInputError(f"length mismatch: original {n} vs reconstruction {m}")
     if n == 0:
         raise InvalidInputError("rmse of two empty arrays is undefined")
     return _overflow_safe(lambda o, r: rmse_per_signal(o, r, (0, n))[0], original, reconstructed)

@@ -14,9 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import (DatasetBundle, SampledSeries, TimeSeries, _check_threshold, _fork_map,
-                   _fork_procs, _runs)
-from .errors import InfeasibleBudgetError, InvalidInputError
+from .core import (DatasetBundle, InfeasibleBudgetError, InvalidInputError, SampledSeries,
+                   TimeSeries, _check_threshold, _fork_map, _fork_procs, _runs)
 
 __all__ = [
     "SampleBudget",

@@ -16,8 +16,7 @@ import numpy as np
 
 from .baselines import interp_pchip
 from .bench import generate_synthetic_corpus
-from .core import SampledSeries, TimeSeries
-from .errors import InvalidInputError
+from .core import InvalidInputError, SampledSeries, TimeSeries
 from .sampling import _send_on_delta, lebesgue_sample
 
 __all__ = [

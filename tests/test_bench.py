@@ -204,6 +204,23 @@ class TestLoadUcrDataset:
                 bench.parse_finite_fields(fields, path, [(3, len(fields))], first_column)
             assert (err.value.row, err.value.column, str(err.value)) == (3, *want)
 
+    @pytest.mark.parametrize("bulk", ["numpy", "refused"])
+    def test_parse_finite_fields_when_the_bulk_conversion_refuses(self, monkeypatch, bulk):
+        # where numpy's bulk conversion refuses a field that float() reads, as some numpy
+        # releases do, each field is read on its own
+        fields = ["1_000", " 2.5 ", "\u0661\u0662", "-4.5e-3", "+.5"]
+        if bulk == "refused":
+            array = np.array
+
+            def refuse_text(obj, *args, **kwargs):
+                if any(isinstance(f, str) for f in obj):
+                    raise ValueError("could not convert string to float")
+                return array(obj, *args, **kwargs)
+
+            monkeypatch.setattr(np, "array", refuse_text)
+        got = bench.parse_finite_fields(fields, "F.tsv", [(0, len(fields))])
+        assert got.tobytes() == np.array([float(f) for f in fields]).tobytes()
+
     @given(st.lists(st.lists(_fields, max_size=4), max_size=5), st.integers(0, 1))
     @settings(max_examples=200)
     def test_parse_finite_fields_names_the_line_of_a_bad_field(self, rows, first_column):

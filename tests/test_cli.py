@@ -124,6 +124,22 @@ class TestReconstructCommand:
         got = read_value_column(recon)
         np.testing.assert_allclose(got, [0.0, 0.014, 0.028, 0.042, 0.056], atol=1e-15)
 
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        rows = ["# source_length=9 threshold=0.05", "index,value", "0,0.0", "3,0.2", "8,0.1"]
+        outputs = []
+        for name, text in [("plain", "\n".join(rows) + "\n"),
+                           ("spaced", "\n" + "\n  \n".join(rows) + "\n\t\n\n")]:
+            (tmp_path / f"{name}.csv").write_text(text)
+            assert main(["reconstruct", "--input", str(tmp_path / f"{name}.csv"),
+                         "--output", str(tmp_path / f"{name}-out.csv"), "--method", "zechipc"]) == 0
+            outputs.append((tmp_path / f"{name}-out.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        # a row still counts the blank lines above it
+        (tmp_path / "bad.csv").write_text("\n".join(rows[:3]) + "\n\n\n5,inf\n")
+        assert main(["reconstruct", "--input", str(tmp_path / "bad.csv"),
+                     "--output", str(tmp_path / "bad-out.csv"), "--method", "zoh"]) == 1
+        assert "'inf' at row 5, column 1" in capsys.readouterr().err
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         absent, recon = tmp_path / "absent.csv", tmp_path / "r.csv"
         code = main(["reconstruct", "--input", str(absent), "--output", str(recon),
@@ -488,6 +504,13 @@ class TestBenchCommand:
         assert capsys.readouterr().err.startswith("error: unknown methods: ['']; choose from")
         assert not out.exists()
 
+    def test_methods_list_may_hold_spaces(self, tmp_path):
+        # as --synthetic's entries may
+        assert main(["bench", "--synthetic", "walk=2", "--length", "20", "--methods",
+                     " zoh, linear ", "--out", str(tmp_path / "rep")]) == 0
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())
+        assert report["config"]["methods"] == ["zoh", "linear"]
+
     @pytest.mark.parametrize(
         "spec, message",
         [
@@ -739,6 +762,16 @@ class TestVerifyAndHelp:
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines()[-1] == "numpy.ma loaded: False"
 
+    def test_run_path_loads_only_numpy_and_the_standard_library(self, tmp_path):
+        # numpy is the one runtime dependency; a fresh interpreter, as above
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        run = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, str(tmp_path)],
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                                 filter(None, [src, os.environ.get("PYTHONPATH")]))))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "loaded from elsewhere: []"
+
 
 _BENCH_BOTH_EXPERIMENTS = """
 import os, sys
@@ -750,4 +783,39 @@ for experiment in ("1", "2"):
                  "--length", "120", "--out", f"{sys.argv[1]}/{experiment}"]) == 0
 tune_threshold(generate_synthetic_corpus(3, {"walk": 2}, 200), SampleBudget(0.15))
 print("numpy.ma loaded:", "numpy.ma" in sys.modules)
+"""
+
+# Numpy's Cython extensions register modules without a __file__ (cython_runtime and the
+# like); those count as numpy's. Third-party packages sit under the stdlib's directory too.
+_EVERY_COMMAND = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0}  # one CPU: every job runs in this process
+before = set(sys.modules)
+from lebesgue_interp.bench import METHODS
+from lebesgue_interp.cli import main
+out = sys.argv[1]
+for experiment in ("1", "2"):
+    assert main(["bench", "--experiment", experiment, "--synthetic", "walk=3,step=2",
+                 "--length", "120", "--out", f"{out}/{experiment}"]) == 0
+assert main(["verify"]) == 0
+with open(f"{out}/signal.txt", "w") as fh:
+    fh.write("0\\n0.3\\n0.1\\n0.9\\n1.0\\n0.2\\n")
+assert main(["sample", "--input", f"{out}/signal.txt", "--output", f"{out}/sampled.csv",
+             "--threshold", "0.15"]) == 0
+for method in METHODS:
+    assert main(["reconstruct", "--input", f"{out}/sampled.csv", "--method", method,
+                 "--output", f"{out}/{method}.csv"]) == 0
+
+import sysconfig, numpy, lebesgue_interp
+def dirs(*paths):
+    return tuple(os.path.join(os.path.realpath(p), "") for p in paths)
+ours = dirs(*(os.path.dirname(m.__file__) for m in (numpy, lebesgue_interp)))
+stdlib = dirs(*(sysconfig.get_path(k) for k in ("stdlib", "platstdlib")))
+third_party = dirs(*(sysconfig.get_path(k) for k in ("purelib", "platlib")))
+def allowed_file(f):
+    return f.startswith(ours) or f.startswith(stdlib) and not f.startswith(third_party)
+print("loaded from elsewhere:", sorted(
+    name for name, m in list(sys.modules.items())
+    if name not in before and "." not in name and getattr(m, "__file__", None)
+    and not allowed_file(os.path.realpath(m.__file__))))
 """

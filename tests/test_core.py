@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import example, given, strategies as st
 
 from lebesgue_interp import (
     DatasetBundle,
+    InfeasibleBudgetError,
     InvalidInputError,
+    ParseError,
     ReconstructionParams,
     SampledSeries,
-    ShapeError,
     TimeSeries,
     lebesgue_sample,
     normalize_unit_interval,
@@ -156,8 +158,8 @@ class TestSampledSeries:
             SampledSeries(np.array([0]), np.array([0.0]), 5, -0.1)
 
     def test_more_indices_than_values_rejected(self):
-        with pytest.raises(ShapeError, match=r"^indices and values must be equal-length 1-d "
-                                             r"arrays, got \(3,\) vs \(2,\)$"):
+        with pytest.raises(InvalidInputError, match=r"^indices and values must be equal-length "
+                                                    r"1-d arrays, got \(3,\) vs \(2,\)$"):
             SampledSeries(np.array([0, 1, 2]), np.array([0.0, 1.0]), 5, 0.0)
 
     def test_points_and_fraction(self):
@@ -187,6 +189,26 @@ class TestReconstructionParams:
         with pytest.raises(InvalidInputError,
                            match=r"^subsequent_max_distance must be >= 0 or None, got -1$"):
             ReconstructionParams(0.05, subsequent_max_distance=-1)
+
+
+@pytest.mark.parametrize(
+    "error, attributes",
+    [
+        (InvalidInputError("threshold must be finite and >= 0, got -1.0"), {}),
+        (ParseError("a.csv: cannot parse 'x' at row 3, column 1", row=3, column=1),
+         {"row": 3, "column": 1}),
+        (InfeasibleBudgetError("walks: no threshold keeps at most 10% of the points",
+                               min_achievable_fraction=0.2), {"min_achievable_fraction": 0.2}),
+    ],
+    ids=["invalid-input", "parse", "infeasible-budget"],
+)
+def test_every_error_survives_pickling(error, attributes):
+    # a forked job's error can only be carried home if it pickles
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(error, protocol))
+        assert type(back) is type(error) and isinstance(back, ValueError)
+        assert str(back) == str(error) and back.args == error.args
+        assert {name: getattr(back, name) for name in attributes} == attributes
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])

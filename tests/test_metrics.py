@@ -13,7 +13,6 @@ from lebesgue_interp import (
     DatasetResult,
     InvalidInputError,
     MethodScore,
-    ShapeError,
     TimeSeries,
     abruptness,
     aggregate_report,
@@ -51,7 +50,7 @@ class TestRmse:
         assert rmse(ts(sig).values, rec(sig + 0.1)) == pytest.approx(0.1)
 
     def test_length_mismatch(self, ts):
-        with pytest.raises(ShapeError):
+        with pytest.raises(InvalidInputError, match="length mismatch"):
             rmse(ts([1.0, 2.0]).values, rec([1.0]))
 
     def test_empty_arrays_rejected(self):
