@@ -32,13 +32,14 @@ __all__ = ["main", "entrypoint"]
 
 
 def _read_signal(path: Path) -> TimeSeries:
-    """One value per line (a trailing comma-separated row also works)."""
+    """Values split by blanks and commas; an empty comma field stays '', which does not parse."""
     fields, lines = [], []  # every value field; each line's (row, end) in fields
     with path.open() as fh:
         for r, line in enumerate(fh):
             line = line.strip()
             if line and not line.startswith("#"):
-                fields += line.replace(",", " ").split()
+                for part in line.split(","):
+                    fields += part.split() or [""]
                 lines.append((r, len(fields)))
     values = parse_finite_fields(fields, path, lines)
     if not values.size:
@@ -77,22 +78,19 @@ def _read_sampled(path: Path, length: int | None, threshold: float | None) -> Sa
     with path.open() as fh:
         for r, line in enumerate(fh):
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        k, v = token.split("=", 1)
-                        meta[k] = (v, r)
-                continue
-            if line.lower().startswith("index"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"{path}: expected 'index,value' at row {r}", row=r)
-            idx.append(_parse_field(path, "index", int64, parts[0], r))
-            vals.append(parts[1])
-            lines.append((r, len(vals)))
+                for k, v in (token.split("=", 1) for token in line[1:].split() if "=" in token):
+                    if k in meta:
+                        raise ParseError(f"{path}: metadata key {k!r} at row {meta[k][1]} "
+                                         f"is given again at row {r}", row=r)
+                    meta[k] = (v, r)
+            elif line and not line.lower().startswith("index"):
+                parts = line.split(",")
+                if len(parts) != 2:
+                    raise ParseError(f"{path}: expected 'index,value' at row {r}", row=r)
+                idx.append(_parse_field(path, "index", int64, parts[0], r))
+                vals.append(parts[1])
+                lines.append((r, len(vals)))
     values = parse_finite_fields(vals, path, lines, first_column=1)
     if length is None:
         if "source_length" not in meta:

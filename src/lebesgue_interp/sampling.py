@@ -64,17 +64,16 @@ def lebesgue_sample(series: TimeSeries, threshold: float) -> SampledSeries:
 
 def _send_on_delta(values: np.ndarray, offsets: np.ndarray, threshold: float) -> np.ndarray:
     """``lebesgue_sample`` of every signal ``values[offsets[i]:offsets[i + 1]]``: the kept
-    positions in ``values``. A run of at least ``_LOCKSTEP`` equal-length signals is sampled in
-    lockstep (``_fires``); every other signal runs through one loop that restarts at each of
-    their offsets."""
+    positions in ``values``, in one buffer. A run of at least ``_LOCKSTEP`` equal-length signals
+    is sampled in lockstep (``_fires``) and copied in whole; every other signal appends from one
+    loop that restarts at each of their offsets."""
     _check_threshold(threshold)
-    parts, kept = [], array("q")
+    kept = array("q")
     for a, signal in _by_run(values, offsets):
         if isinstance(signal, np.ndarray):
             run = np.flatnonzero(_fires(signal, threshold).T)
             run += a
-            parts += [np.frombuffer(kept, dtype=np.int64), run]
-            kept = array("q")
+            kept.frombytes(run.view(np.uint8))
             continue
         ref = signal[0]
         kept.append(a)
@@ -82,7 +81,7 @@ def _send_on_delta(values: np.ndarray, offsets: np.ndarray, threshold: float) ->
             if abs(v - ref) >= threshold:
                 kept.append(i)
                 ref = v
-    return np.concatenate([*parts, np.frombuffer(kept, dtype=np.int64)])
+    return np.frombuffer(kept, dtype=np.int64)
 
 
 def _by_run(values: np.ndarray, offsets: np.ndarray):
@@ -396,8 +395,9 @@ def tune_threshold(bundle: DatasetBundle, budget: SampleBudget) -> tuple[float, 
         above = math.nextafter(cands[hi], math.inf)
         least = hi_frac if math.isinf(above) else _kept_fraction(signals, above)
         if least > target:
+            shown = f"{least:.6g}" if float(f"{least:.6g}") > target else repr(least)
             raise InfeasibleBudgetError(f"dataset {bundle.name!r}: budget {target} infeasible: "
-                                        f"minimum achievable fraction is {least:.6g}",
+                                        f"minimum achievable fraction is {shown}",
                                         min_achievable_fraction=least)
         return above, least
     while lo < hi:

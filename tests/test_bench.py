@@ -972,6 +972,57 @@ class TestForkedRuns:
         assert got == want
 
 
+def _lockstep_ucr_dir(root, seed):
+    """Four UCR datasets built to reach both send-on-delta paths: consecutive groups of 31, 32
+    and 33 equal-length rows (the lockstep takes runs of 32 or more); ragged, NaN-padded rows
+    among groups of 1- and 2-point rows; rows on a 1/64 lattice, whose differences tie a 1/16
+    threshold exactly; and a run holding a row that alternates between -1e308 and 1e308."""
+    rng = np.random.default_rng(seed)
+
+    def walk(n):
+        return np.cumsum(rng.normal(size=n)) * rng.uniform(0.1, 30.0)
+
+    def lattice(n):
+        k = rng.integers(0, 65, size=n)
+        k[:2] = 0, 64  # the row spans [0, 1], so normalizing leaves it on the lattice
+        return k / 64
+
+    datasets = {
+        "Groups": [walk(n) for n, count in ((17, 31), (60, 32), (3, 33)) for _ in range(count)],
+        "Ragged": [*(walk(int(rng.integers(1, 200))) for _ in range(60)),
+                   *(walk(2) for _ in range(33)), *(walk(1) for _ in range(32)), walk(1), walk(2)],
+        "Lattice": [lattice(40) for _ in range(34)] + [lattice(9) for _ in range(5)],
+        "Huge": [np.resize([-1e308, 1e308], 48)] + [walk(48) for _ in range(32)],
+    }
+    for name, rows in datasets.items():
+        (root / name).mkdir(parents=True)
+        width = max(map(len, rows))
+        lines = ["\t".join(["1", *map(repr, y.tolist()), *["NaN"] * (width - len(y))]) for y in rows]
+        (root / name / f"{name}_TRAIN.tsv").write_text("\n".join(lines) + "\n")
+    return root
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+@pytest.mark.parametrize("argv", [["--experiment", "1", "--threshold", "0.0625"],
+                                  ["--experiment", "2", "--budget", "0.5"]], ids=["fixed", "budget"])
+def test_lockstep_and_loop_give_the_same_reports(tmp_path, monkeypatch, capsys, seed, argv):
+    # one CPU, so that every sampled run, and every tuning probe, is counted here
+    monkeypatch.setattr(os, "sched_getaffinity", _cpus(1))
+    _lockstep_ucr_dir(tmp_path / "data", seed)
+    seen = []
+    for path, lockstep in (("lockstep", sampling._LOCKSTEP), ("loop", 10**9)):
+        (tmp_path / path).mkdir()
+        monkeypatch.chdir(tmp_path / path)  # stdout names the --out files
+        monkeypatch.setattr(sampling, "_LOCKSTEP", lockstep)
+        with mock.patch.object(sampling, "_fires", wraps=sampling._fires) as fires:
+            code = main(["bench", *argv, "--data-dir", "../data", "--out", "out"])
+        files = {p.name: p.read_bytes() for p in Path("out").glob("*")}
+        seen.append((code, capsys.readouterr(), files, fires.call_count > 0))
+    assert seen[0][0] == 0 and len(seen[0][2]) == 7
+    assert seen[0][3] and not seen[1][3]  # the lockstep ran in the first run alone
+    assert seen[0][:3] == seen[1][:3]
+
+
 def test_every_benchmark_target_exists():
     # the benchmark traces these functions by name and reports one it cannot find as absent
     path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"

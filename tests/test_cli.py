@@ -91,6 +91,27 @@ class TestSampleCommand:
         assert code == 1
         assert capsys.readouterr().err == f"error: {path}: cannot parse 'abc' at row 3, column 2\n"
 
+    @pytest.mark.parametrize("row, column", [
+        ("1,,2", 1), (",1", 0), ("1,2,", 2), ("1, ,2", 1), ("1 2,,3", 2), ("1,\t,2", 1),
+    ], ids=["between", "before", "after", "blank-between", "after-a-blank-split", "tab-between"])
+    def test_empty_comma_field_names_its_row_and_column(self, tmp_path, capsys, row, column):
+        # an empty field is a missing value, not a separator: dropping it would move every
+        # later index up
+        path = tmp_path / "gap.txt"
+        path.write_text(f"0\n{row}\n3\n")
+        out = tmp_path / "o.csv"
+        assert main(["sample", "--input", str(path), "--output", str(out), "--threshold", "0"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: cannot parse '' at row 1, column {column}\n")
+        assert not out.exists()
+
+    def test_blanks_split_inside_a_comma_field(self, tmp_path):
+        path = tmp_path / "rows.txt"
+        path.write_text("0\n1 2, 3\t4 ,5\n6\n")
+        out = tmp_path / "o.csv"
+        assert main(["sample", "--input", str(path), "--output", str(out), "--threshold", "0"]) == 0
+        assert read_value_column(out) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
     def test_riemann_regime(self, tmp_path, signal_file):
         path, walk = signal_file
         out = tmp_path / "sampled.csv"
@@ -262,6 +283,25 @@ class TestReconstructCommand:
         assert capsys.readouterr().err == f"error: source length {length} does not fit in memory\n"
         assert not recon.exists()
 
+    @pytest.mark.parametrize("override", [[], ["--length", "5"], ["--threshold", "0.1"]],
+                             ids=["file", "length-option", "threshold-option"])
+    @pytest.mark.parametrize("meta, key, rows", [
+        ("# source_length=5 source_length=6\n", "source_length", (0, 0)),
+        ("# source_length=5 threshold=0.1\n# threshold=0.2\n", "threshold", (0, 1)),
+        ("# source_length=5\n# note=a\n\n# note=b\n", "note", (1, 3)),
+    ], ids=["one-row", "two-rows", "other-key"])
+    def test_repeated_metadata_key_names_both_rows(self, tmp_path, capsys, override, meta, key,
+                                                   rows):
+        sampled = tmp_path / "s.csv"
+        sampled.write_text(meta + "index,value\n0,0.0\n3,0.5\n")
+        recon = tmp_path / "r.csv"
+        assert main(["reconstruct", "--input", str(sampled), "--output", str(recon),
+                     "--method", "linear", *override]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {sampled}: metadata key {key!r} at row {rows[0]} is given again at row "
+            f"{rows[1]}\n")
+        assert not recon.exists()
+
     def test_missing_metadata_requires_length(self, tmp_path):
         sampled = tmp_path / "s.csv"
         sampled.write_text("index,value\n0,0.0\n3,0.5\n")
@@ -378,6 +418,19 @@ class TestBenchCommand:
         assert main(["bench", "--experiment", "2", "--data-dir", str(data), "--out", str(out)]) == 0
         ds = json.loads((out / "report.json").read_text())["datasets"][0]
         assert ds["achieved_fraction"] == 0.1
+
+    def test_infeasible_minimum_that_rounds_to_the_budget_prints_in_full(self, tmp_path, capsys):
+        # 1/10 and 1/5 average to 0.15000000000000002, whose 6 digits read as the budget itself
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "Flat_TRAIN.tsv").write_text(
+            "1\t" + "\t".join(["0.5"] * 10) + "\n1\t" + "\t".join(["0.5"] * 5) + "\n")
+        out = tmp_path / "rep"
+        argv = ["bench", "--experiment", "2", "--budget", "0.15", "--data-dir", str(data)]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: dataset 'Flat': budget 0.15 infeasible: "
+                                           "minimum achievable fraction is 0.15000000000000002\n")
+        assert not out.exists()
 
     def test_infeasible_budget_names_the_dataset(self, tmp_path, capsys):
         data = tmp_path / "data"
