@@ -270,12 +270,13 @@ def _fork_map(jobs: Sequence[Callable[[], object]], weights: Sequence[float]) ->
     """Each job's result, in job order. Over ``_fork_procs`` processes, each job goes,
     heaviest first by ``weights``, to the least-loaded one; the heaviest job's share runs
     here and every other in a worker forked before any job starts, each in job order up to
-    its first job that raises an ``Exception``. A worker pickles its results into a pipe and
-    ends with status 0 only once every byte is written. Then every job without a result, on
-    one process every job, runs here in job order up to the job whose error this process
-    kept, which raises that error without running again, so an error raises as in the
-    in-order run; if this process raises anything else, every worker is killed. Every worker
-    is reaped before this returns."""
+    its first job that raises an ``Exception``. Where ``os.pipe`` or ``os.fork`` raises
+    ``OSError``, no further worker is forked and the shares not forked have no result. A
+    worker pickles its results into a pipe and ends with status 0 only once every byte is
+    written. Then every job without a result, on one process every job, runs here in job
+    order up to the job whose error this process kept, which raises that error without
+    running again, so an error raises as in the in-order run; if this process raises
+    anything else, every worker is killed. Every worker is reaped before this returns."""
     global _forking
     procs, done, failed = _fork_procs(len(jobs)), {}, None
     if procs > 1:
@@ -288,12 +289,18 @@ def _fork_map(jobs: Sequence[Callable[[], object]], weights: Sequence[float]) ->
         _forking = True
         try:
             for share in shares[1:]:
-                read, write = os.pipe()
-                # Safe: no other Python thread is alive, a worker makes no BLAS call, and
-                # OpenBLAS re-initialises its threads after a fork.
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
-                    pid = os.fork()
+                fds = ()
+                try:
+                    fds = read, write = os.pipe()
+                    # Safe: no other Python thread is alive, a worker makes no BLAS call, and
+                    # OpenBLAS re-initialises its threads after a fork.
+                    with warnings.catch_warnings():
+                        warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                        pid = os.fork()
+                except OSError:  # refused (EAGAIN, ENOMEM, EMFILE): the shares left run here
+                    for fd in fds:
+                        os.close(fd)
+                    break
                 if pid == 0:
                     _work(jobs, share, write)
                 os.close(write)

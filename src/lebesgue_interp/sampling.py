@@ -121,21 +121,20 @@ def riemann_sample(series: TimeSeries, budget: SampleBudget) -> SampledSeries:
     """Periodic sampling: k = max(1, ceil(fraction * n)) evenly spread points.
 
     Indices are round(j * (n-1) / (k-1)) for j = 0..k-1 (half-to-even, like
-    numpy), deduplicated ascending; both endpoints are included when k >= 2.
+    numpy), strictly ascending; both endpoints are included when k >= 2.
     """
     x = _periodic(np.array([0, len(series)]), budget)
     return SampledSeries(x, series.values[x], source_length=len(series), threshold=0.0)
 
 
 def _periodic(offsets: np.ndarray, budget: SampleBudget) -> np.ndarray:
-    """``riemann_sample`` of every signal [offsets[i], offsets[i + 1]): the kept
-    positions, the grid of each length built once."""
-    lengths, grids = np.diff(offsets), {}
-    for n in set(lengths.tolist()):
-        k = max(1, math.ceil(budget.target_fraction * n))
-        raw = np.rint(np.arange(k, dtype=np.float64) * (n - 1) / max(1, k - 1)).astype(np.int64)
-        grids[n] = _distinct(raw)
-    return np.concatenate([grids[n] + a for a, n in zip(offsets[:-1].tolist(), lengths.tolist())])
+    """``riemann_sample`` of every signal [offsets[i], offsets[i + 1]): the kept positions,
+    in one pass. None repeats: k <= n, so the step (n-1)/(k-1) is 1 or >= 1 + 1/(k-1)."""
+    n = np.diff(offsets)
+    k = np.maximum(1, np.ceil(budget.target_fraction * n)).astype(np.int64)
+    j = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)  # each point's rank in its signal
+    x = np.rint(j * np.repeat(n - 1.0, k) / np.repeat(np.maximum(1, k - 1), k))
+    return x.astype(np.int64) + np.repeat(offsets[:-1], k)
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -317,8 +316,8 @@ class _DifferenceGrid:
         u, end = self._u, self._end
         with np.errstate(over="ignore"):  # p + b past float max: the row ends at its signal's end
             at = np.concatenate([np.searchsorted(p, p + b, "right") for p in self._parts])
-        at = np.maximum(at + self._starts, self._first)
-        # u[at - 1] - u is 0 when at = i + 1, and no threshold is below 0
+        at += self._starts
+        # at >= i + 1 as p + b >= p, so u[at - 1] - u is 0 at i + 1, and no threshold is below 0
         ok = (u[at - 1] - u <= b) & ((at == end) | (u[np.minimum(at, u.size - 1)] - u > b))
         bad = np.flatnonzero(~ok)
         lo, hi, ui = self._first[bad], end[bad], u[bad]

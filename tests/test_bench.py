@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import importlib.util
 import json
 import math
@@ -843,6 +844,25 @@ class TestForkedRuns:
             seen[cpus] = code, capsys.readouterr(), files
         assert seen[1][0] == 0
         assert seen[2] == seen[1] and seen[8] == seen[1]
+
+    @pytest.mark.parametrize("args", [
+        ["--synthetic", "walk=3,sine=3"],  # forks for its two datasets
+        ["--experiment", "2", "--synthetic", "walk=20", "--length", "1000"],  # in its grid pass
+    ], ids=["datasets", "grid-pass"])
+    def test_a_refused_fork_runs_here(self, tmp_path, monkeypatch, capsys, args):
+        # as a full process table would: the run goes on in this process and writes what a
+        # one-CPU run writes, where it used to end as an I/O error with exit code 2
+        refused = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        monkeypatch.chdir(tmp_path)  # stdout names the --out files
+        seen, forks = {}, {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", _cpus(cpus))
+            with _every_worker_reaped(), mock.patch.object(os, "fork", side_effect=refused) as fork:
+                code = main(["bench", *args, "--out", "out"])
+            files = {p.name: p.read_bytes() for p in Path("out").iterdir()}
+            seen[cpus], forks[cpus] = (code, capsys.readouterr(), files), fork.call_count
+        assert seen[1][0] == 0 and seen[2] == seen[1]
+        assert forks == {1: 0, 2: 1}
 
     @pytest.mark.parametrize("case", ["one-cpu", "one-dataset", "no-affinity", "live-thread"])
     def test_no_fork_where_it_cannot_pay_or_is_unsafe(self, monkeypatch, case):

@@ -1,3 +1,4 @@
+import errno
 import functools
 import math
 import os
@@ -315,3 +316,28 @@ class TestForkMap:
         runs = _runs(log)
         assert runs.pop(os.getpid()) == ([0, 1] if cpus == 1 else [1])
         assert all(1 not in ran for ran in runs.values())
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_the_shares_a_refused_fork_or_pipe_leaves_run_here(tmp_path, monkeypatch, call, cpus):
+    # the nth call refuses, as a full process table or fd table would: the workers forked
+    # before it run their shares, every other share runs here, and no pipe end stays open
+    real, procs = getattr(os, call), min(cpus, len(WEIGHTS))
+    for nth in range(1, procs):
+        log, calls = tmp_path / f"log{nth}", []
+
+        def refusing():
+            calls.append(call)
+            if len(calls) == nth:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real()
+
+        monkeypatch.setattr(os, call, refusing)
+        fds = set(os.listdir("/proc/self/fd"))
+        got = _fork_map_on(cpus, _logged_jobs(log, lambda i: False), WEIGHTS, monkeypatch)
+        assert set(os.listdir("/proc/self/fd")) == fds
+        assert got == [10 * i for i in range(len(WEIGHTS))]
+        runs = _runs(log)
+        assert len(runs) == nth
+        assert sorted(i for ran in runs.values() for i in ran) == list(range(len(WEIGHTS)))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import signal
 import threading
@@ -31,7 +32,8 @@ from lebesgue_interp.sampling import (
     _send_on_delta,
     threshold_candidates,
 )
-from oracles import bisect_candidate_grid, bundle_fraction, points, trace_send_on_delta
+from oracles import (bisect_candidate_grid, bundle_fraction, periodic_positions, points,
+                     trace_send_on_delta)
 
 
 class TestLebesgueSample:
@@ -263,6 +265,34 @@ class TestRiemannSample:
         assert s.indices[0] == 0
         if k >= 2:
             assert s.indices[-1] == n - 1
+
+    @pytest.mark.parametrize("fraction", [1e-12, 0.05, 0.15, 1 / 3, 0.9999999999999999, 1.0])
+    @pytest.mark.parametrize("lengths", [
+        [1, 2, 3, 1, 7, 100, 1, 55, 1000, 1, 2],  # ragged, 1-point signals among them
+        [140] * 40,
+        [1] * 5,
+        [1000] * 3 + [999] * 2 + [1] + [1000],
+    ], ids=["ragged", "equal", "one-point", "runs"])
+    def test_every_signal_of_a_dataset_follows_the_formula(self, lengths, fraction):
+        self._check_periodic(lengths, fraction)
+
+    @given(lengths=st.lists(st.integers(1, 400), min_size=1, max_size=8),
+           fraction=st.floats(0.0, 1.0, exclude_min=True))
+    @settings(max_examples=60, deadline=None)
+    def test_every_signal_follows_the_formula_at_any_fraction(self, lengths, fraction):
+        self._check_periodic(lengths, fraction)
+
+    @staticmethod
+    def _check_periodic(lengths, fraction):
+        """``_periodic`` over the signals of ``lengths`` is the one-signal formula at each
+        offset, and it keeps all k points of every signal: k <= n leaves none to drop."""
+        offsets = np.cumsum([0, *lengths])
+        got = sampling._periodic(offsets, SampleBudget(fraction))
+        assert got.dtype == np.int64
+        assert got.tolist() == [a + x for a, n in zip(offsets.tolist(), lengths)
+                                for x in periodic_positions(n, fraction)]
+        assert np.all(np.diff(got) > 0)  # so within each signal too
+        assert got.size == sum(max(1, math.ceil(fraction * n)) for n in lengths)
 
     def test_budget_range_validated(self):
         with pytest.raises(InvalidInputError):
